@@ -26,10 +26,7 @@ Cpu::Cpu(Machine& machine, Node& node)
       config_(&machine.config()),
       lat_(&machine.latencies()),
       as_(&machine.address_space()),
-      oracle_(machine.oracle()),
-      fill_fp_(machine.interconnect().commit_profile().fill_tail_local
-                   ? sim::CommitFootprint::kLocal
-                   : sim::CommitFootprint::kShared) {}
+      oracle_(machine.oracle()) {}
 
 sim::Task<void> Cpu::read(Addr addr) {
   NodeStats& st = node_->stats();
@@ -38,7 +35,7 @@ sim::Task<void> Cpu::read(Addr addr) {
   const std::uint16_t tag = sim::make_trace_tag(id(), sim::TraceTagKind::kRead);
 
   // L1 tag check (1 pcycle; hits complete here).
-  co_await engine_->delay(lat_->l1_tag_check, tag, sim::CommitFootprint::kLocal);
+  co_await engine_->delay(lat_->l1_tag_check, tag);
   if (node_->l1().probe(addr, engine_->now())) {
     if (oracle_ != nullptr) oracle_->on_hit(id(), addr, "L1");
     ++st.l1_hits;
@@ -48,12 +45,12 @@ sim::Task<void> Cpu::read(Addr addr) {
   }
 
   // L2 tag check; a hit costs l2_hit_cycles total.
-  co_await engine_->delay(lat_->l2_tag_check, tag, sim::CommitFootprint::kLocal);
+  co_await engine_->delay(lat_->l2_tag_check, tag);
   if (node_->l2().probe(addr, engine_->now())) {
     if (oracle_ != nullptr) oracle_->on_hit(id(), addr, "L2");
     co_await engine_->delay(config_->l2_hit_cycles - lat_->l1_tag_check -
                                 lat_->l2_tag_check,
-                            tag, sim::CommitFootprint::kLocal);
+                            tag);
     ++st.l2_hits;
     if (config_->sequential_prefetch &&
         node_->take_prefetched(block_base(addr, config_->l2.block_bytes))) {
@@ -86,7 +83,7 @@ sim::Task<void> Cpu::read(Addr addr) {
       ++st.l2_hits;
       co_await engine_->delay(config_->l2_hit_cycles - lat_->l1_tag_check -
                                   lat_->l2_tag_check,
-                              tag, sim::CommitFootprint::kLocal);
+                              tag);
       // Same in-flight race as the plain L2 hit above.
       if (node_->l2().contains(addr)) {
         node_->l1().insert(addr, cache::LineState::kValid, engine_->now());
@@ -100,12 +97,8 @@ sim::Task<void> Cpu::read(Addr addr) {
   FetchResult fr{};
   if (priv) {
     ++st.local_mem_reads;
-    co_await node_->mem().read_block(tag, fill_fp_);
+    co_await node_->mem().read_block(tag);
   } else {
-    // Shared fetch: the stack's synchronous prefix touches interconnect-wide
-    // state (channels, ring, TDMA books), so a parallel-commit worker hands
-    // the continuation to the coordinator here. No-op in serial mode.
-    co_await engine_->escape();
     fr = co_await machine_->interconnect().fetch_block(
         id(), block_base(addr, config_->l2.block_bytes));
     if (oracle_ != nullptr) {
@@ -140,7 +133,7 @@ sim::Task<void> Cpu::read(Addr addr) {
                 static_cast<Addr>(config_->l2.block_bytes);
     if (!node_->l2().contains(next) && !node_->prefetch_in_flight(next)) {
       node_->mark_prefetch_started(next);
-      engine_->spawn(prefetch(next), 0, tag, fill_fp_);
+      engine_->spawn(prefetch(next), 0, tag);
     }
   }
 }
@@ -151,9 +144,8 @@ sim::Task<void> Cpu::prefetch(Addr block) {
   core::FetchResult fr;
   const std::uint16_t tag = sim::make_trace_tag(id(), sim::TraceTagKind::kRead);
   if (as_->home(block) == id()) {
-    co_await node_->mem().read_block(tag, fill_fp_);
+    co_await node_->mem().read_block(tag);
   } else {
-    co_await engine_->escape();  // shared fetch (see read())
     fr = co_await machine_->interconnect().fetch_block(id(), block);
   }
   if (oracle_ != nullptr) oracle_->on_fill(id(), block, to_oracle(fr.source));
@@ -172,9 +164,8 @@ sim::Task<void> Cpu::prefetch(Addr block) {
 sim::Task<void> Cpu::write(Addr addr, int bytes) {
   NodeStats& st = node_->stats();
   ++st.writes;
-  co_await engine_->delay(1,
-                          sim::make_trace_tag(id(), sim::TraceTagKind::kWrite),
-                          sim::CommitFootprint::kLocal);
+  co_await engine_->delay(
+      1, sim::make_trace_tag(id(), sim::TraceTagKind::kWrite));
   const bool priv = as_->is_private(addr);
   while (!node_->wb().add(addr, bytes, priv)) {
     const Cycles w0 = engine_->now();
@@ -189,8 +180,7 @@ sim::Task<void> Cpu::compute(Cycles cycles) {
   if (cycles <= 0) co_return;
   node_->stats().compute_cycles += cycles;
   co_await engine_->delay(
-      cycles, sim::make_trace_tag(id(), sim::TraceTagKind::kCompute),
-      sim::CommitFootprint::kLocal);
+      cycles, sim::make_trace_tag(id(), sim::TraceTagKind::kCompute));
 }
 
 }  // namespace netcache::core

@@ -27,15 +27,6 @@
 
 namespace netcache::sim {
 
-/// Declared commit footprint of a scheduled event (parallel-commit PDES,
-/// DESIGN.md section 13). kLocal promises the handler's synchronous prefix —
-/// everything it executes before its next suspension — touches only state
-/// owned by the event's partition (the node arc derived from the event tag),
-/// so the partitioned engine may fire it on the owning worker thread.
-/// kShared (the default) makes no promise and always commits serialized.
-/// Serial engines ignore the field entirely.
-enum class CommitFootprint : std::uint8_t { kShared = 0, kLocal = 1 };
-
 /// One scheduled event: either a coroutine to resume (common case, a raw
 /// handle — no allocation, no indirection) or an arbitrary callable held in
 /// inline storage. Movable, fire-once.
@@ -46,8 +37,7 @@ class Event {
   Event() = default;
 
   Event(Event&& o) noexcept
-      : time(o.time), seq(o.seq), tag(o.tag), footprint(o.footprint),
-        ops_(o.ops_) {
+      : time(o.time), seq(o.seq), tag(o.tag), ops_(o.ops_) {
     if (ops_) {
       ops_->relocate(storage_, o.storage_);
     } else {
@@ -63,7 +53,6 @@ class Event {
       time = o.time;
       seq = o.seq;
       tag = o.tag;
-      footprint = o.footprint;
       ops_ = o.ops_;
       if (ops_) {
         ops_->relocate(storage_, o.storage_);
@@ -81,27 +70,23 @@ class Event {
   ~Event() { reset(); }
 
   static Event make_resume(Cycles time, std::uint64_t seq,
-                           std::coroutine_handle<> h, std::uint16_t tag = 0,
-                           CommitFootprint fp = CommitFootprint::kShared) {
+                           std::coroutine_handle<> h, std::uint16_t tag = 0) {
     Event e;
     e.time = time;
     e.seq = seq;
     e.tag = tag;
-    e.footprint = fp;
     e.handle_ = h.address();
     return e;
   }
 
   template <typename F>
   static Event make_callback(Cycles time, std::uint64_t seq, F&& f,
-                             std::uint16_t tag = 0,
-                             CommitFootprint fp = CommitFootprint::kShared) {
+                             std::uint16_t tag = 0) {
     using Fn = std::decay_t<F>;
     Event e;
     e.time = time;
     e.seq = seq;
     e.tag = tag;
-    e.footprint = fp;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
@@ -138,9 +123,6 @@ class Event {
   /// in the low 12 bits, transaction kind in the high 4. Copied into the
   /// TraceRing record when the event fires; 0 means untagged.
   std::uint16_t tag = 0;
-  /// Declared commit footprint (lives in the padding after `tag`; free).
-  /// Only the partitioned engine's parallel-commit path reads it.
-  CommitFootprint footprint = CommitFootprint::kShared;
 
  private:
   struct Ops {
@@ -248,13 +230,6 @@ class EventQueue {
   /// individual push_resume calls exactly. All n events share `tag`.
   void push_resume_batch(Cycles time, const std::coroutine_handle<>* hs,
                          std::size_t n, std::uint16_t tag = 0);
-
-  /// Inserts a fully built event carrying a caller-assigned seq, bypassing
-  /// this queue's own counter — the partitioned engine's entry point (one
-  /// global counter spans all partition queues). Bucket-FIFO determinism
-  /// requires same-time events to arrive in ascending seq order; the
-  /// PartitionSet channel merge guarantees that.
-  void push_event(Event&& e) { insert(std::move(e)); }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

@@ -6,12 +6,9 @@
 // hot path never touches the global allocator.
 //
 // The arena is thread_local: each engine thread (tests, benches, `ctest -j`
-// processes) gets its own, with zero synchronisation. Blocks are
-// individually ::operator new'd with a self-describing header, so a frame
-// MAY be freed on a different thread than allocated it (parallel-commit
-// workers resume coroutines whose frames the coordinator allocated, and vice
-// versa): the block just joins the freeing thread's free list. Only the
-// per-thread counters and lists are unsynchronised; no memory is shared.
+// processes) gets its own, with zero synchronisation. A frame must be freed
+// on the thread that allocated it — true by construction for the
+// single-threaded engine.
 #pragma once
 
 #include <cstddef>

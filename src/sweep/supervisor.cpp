@@ -273,9 +273,9 @@ static std::string stderr_capture_path(std::size_t cell, int attempt) {
   return buf;
 }
 
-bool spawn_cell_child(const Cell& cell, int jobs, std::size_t index,
-                      int attempt, const std::vector<int>& close_in_child,
-                      ChildProc* out, std::string* error) {
+bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
+                      const std::vector<int>& close_in_child, ChildProc* out,
+                      std::string* error) {
   int fds[2];
   if (::pipe(fds) != 0) {
     if (error != nullptr) *error = "supervisor: pipe() failed";
@@ -303,15 +303,7 @@ bool spawn_cell_child(const Cell& cell, int jobs, std::size_t index,
       ::dup2(err_fd, 2);
       ::close(err_fd);
     }
-    // Recompute the jobs x intra-jobs cap in the child: this process tree
-    // runs up to `jobs` children at once, each of which would otherwise
-    // re-read the uncapped NETCACHE_INTRA_JOBS through Machine's
-    // environment fallback and oversubscribe the host. The capped value is
-    // baked into the cell and the variable dropped so it cannot re-apply.
-    Cell child_cell = cell;
-    child_cell.intra_jobs = effective_child_intra_jobs(jobs, child_cell);
-    ::unsetenv("NETCACHE_INTRA_JOBS");
-    run_cell_entrypoint(child_cell, fds[1]);
+    run_cell_entrypoint(cell, fds[1]);
   }
   // Parent.
   ::close(fds[1]);
@@ -356,7 +348,7 @@ std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
     for (const Attempt& a : active) close_in_child.push_back(a.fd);
     ChildProc child;
     std::string spawn_error;
-    if (!spawn_cell_child(cells[cell_index], jobs, cell_index, attempt_number,
+    if (!spawn_cell_child(cells[cell_index], cell_index, attempt_number,
                           close_in_child, &child, &spawn_error)) {
       results[cell_index].ok = false;
       results[cell_index].error = spawn_error;

@@ -2,16 +2,38 @@
 // end-to-end behaviour of small driven workloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "src/apps/workload.hpp"
 #include "src/core/machine.hpp"
+#include "src/core/run_summary.hpp"
+
+extern char** environ;
 
 namespace netcache {
 namespace {
 
 using core::Cpu;
 using core::Machine;
+
+// The pinned digests below describe the default machine, so no NETCACHE_*
+// environment opt-in (a CI leg's NETCACHE_VERIFY=1, say) may reach it.
+const bool g_env_cleared = [] {
+  std::vector<std::string> names;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "NETCACHE_", 9) == 0) {
+      const char* eq = std::strchr(*e, '=');
+      names.emplace_back(*e, eq != nullptr ? eq - *e : std::strlen(*e));
+    }
+  }
+  for (const std::string& n : names) unsetenv(n.c_str());
+  return true;
+}();
 
 class Script : public apps::Workload {
  public:
@@ -156,6 +178,82 @@ TEST(Machine, ComputeAccumulatesBusyTime) {
   m.run(s);
   EXPECT_EQ(m.stats().node(0).compute_cycles, 500);
   EXPECT_EQ(m.stats().node(1).compute_cycles, 500);
+}
+
+// --- Cross-commit result pin ----------------------------------------------
+
+/// FNV-1a (64-bit) of `bytes`, continuing from `h`.
+std::uint64_t fnv1a(const std::string& bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+core::RunSummary run_pinned(const std::string& app, SystemKind system,
+                            const std::string& faults = "") {
+  MachineConfig cfg;
+  cfg.nodes = 8;
+  cfg.system = system;
+  cfg.faults.spec = faults;
+  Machine m(cfg);
+  apps::WorkloadParams params;
+  params.scale = 0.05;
+  auto workload = apps::make_workload(app, params);
+  return m.run(*workload);
+}
+
+/// Everything serialize_summary() writes except host wall-clock.
+std::string canonical(core::RunSummary s) {
+  s.wall_seconds = 0.0;
+  return core::serialize_summary(s);
+}
+
+// Pins every simulated result of a small grid — 12 apps x 5 systems at 8
+// nodes, plus one fault-plan cell per fault family — to digests recorded
+// from a known-good build. Unlike DeterministicAcrossRuns, which compares
+// two runs of one binary, this catches a refactor that changes results in
+// every run the same way. A deliberate model change updates the digests and
+// says why in its commit.
+TEST(Machine, ResultsMatchPinnedDigests) {
+  struct Pin {
+    SystemKind system;
+    std::uint64_t digest;
+  };
+  const Pin grid[] = {
+      {SystemKind::kNetCache, 0x5a8da57a7d38cf14ull},
+      {SystemKind::kNetCacheNoRing, 0x49d0d6e2fcc279f2ull},
+      {SystemKind::kLambdaNet, 0x0a2acc3462cb9cd2ull},
+      {SystemKind::kDmonUpdate, 0x679ff313690aaff0ull},
+      {SystemKind::kDmonInvalidate, 0x66c6a7ed0dce4e7eull},
+  };
+  for (const Pin& pin : grid) {
+    std::uint64_t h = fnv1a("");
+    for (const std::string& app : apps::workload_names()) {
+      h = fnv1a(canonical(run_pinned(app, pin.system)), h);
+    }
+    EXPECT_EQ(h, pin.digest)
+        << to_string(pin.system) << " grid digest 0x" << std::hex << h;
+  }
+
+  struct FaultPin {
+    SystemKind system;
+    const char* spec;
+    std::uint64_t digest;
+  };
+  const FaultPin faulted[] = {
+      {SystemKind::kNetCache, "drop-update:2", 0x381bdbc64dad115dull},
+      {SystemKind::kDmonInvalidate, "drop-invalidate:2", 0x966572a95ef16045ull},
+  };
+  for (const FaultPin& pin : faulted) {
+    core::RunSummary s = run_pinned("water", pin.system, pin.spec);
+    EXPECT_GT(s.faults.injected, 0u) << pin.spec;
+    const std::uint64_t h = fnv1a(canonical(s));
+    EXPECT_EQ(h, pin.digest) << to_string(pin.system) << " " << pin.spec
+                             << " digest 0x" << std::hex << h;
+  }
 }
 
 }  // namespace
