@@ -10,19 +10,19 @@ namespace netcache::serve {
 Planner::Planner(sweep::ResultCache* cache, std::size_t max_queued)
     : cache_(cache), max_queued_(max_queued) {}
 
-std::string Planner::job_key(const sweep::Cell& cell) const {
+std::string Planner::job_key(const sweep::Cell& cell) {
   // The result cache's canonical description IS the identity (version
   // fingerprint included): dedup agrees with the cache by construction.
-  // Uncacheable cells (custom workloads) never reach the daemon — a
-  // GridSpec cannot express one — but key them by address-free label
-  // defensively so they simply never dedup.
+  // Uncacheable cells (custom workloads, as isolated benchmark grids use)
+  // cannot be compared, so each gets a key no other call returns: two of
+  // them never dedup, even with equal labels in one request.
   if (sweep::ResultCache::cacheable(cell)) {
     return sweep::ResultCache::key_description(
         cell, cache_ != nullptr ? cache_->version()
                                 : sweep::version_fingerprint());
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "#uncacheable-%ld", next_id_);
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "#uncacheable-%ld", ++uncacheable_keys_);
   return cell.label() + buf;
 }
 

@@ -1,4 +1,5 @@
-// Dedup planner for the sweep-serving daemon.
+// Dedup planner for the sweep-serving daemon and for isolated grids
+// (sweep::run_supervised admits its whole grid as one request).
 //
 // The planner is the daemon's admission and fan-out brain, kept free of any
 // process or socket machinery so it is unit-testable in isolation. It turns
@@ -112,11 +113,12 @@ class Planner {
     std::vector<Waiter> waiters;
   };
 
-  std::string job_key(const sweep::Cell& cell) const;
+  std::string job_key(const sweep::Cell& cell);
 
   sweep::ResultCache* cache_;
   std::size_t max_queued_;
   long next_id_ = 1;
+  long uncacheable_keys_ = 0;
   std::map<long, Job> jobs_;
   std::map<std::string, long> in_flight_;  // job_key -> job id
   std::deque<long> queue_;                 // queued job ids, FIFO

@@ -16,7 +16,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/common/sim_error.hpp"
@@ -57,33 +56,14 @@ struct Conn {
   bool closing = false;
 };
 
-/// One running worker attempt (the child executing one planner job).
-struct Worker {
-  long job = -1;
-  pid_t pid = -1;
-  int fd = -1;  // result-pipe read end
-  int attempt = 1;
-  bool timed_out = false;
-  bool has_deadline = false;
-  Clock::time_point deadline;
-  std::string buf;
-  std::string stderr_path;
-};
-
-/// A failed attempt waiting out its backoff before the next one.
-struct PendingRetry {
-  long job = -1;
-  int attempt = 1;  // the attempt number to run next
-  Clock::time_point ready;
-};
-
 class Server {
  public:
   Server(const ServerOptions& options, sweep::ResultCache* cache)
       : opts_(options),
         jobs_(options.jobs > 0 ? options.jobs : sweep::default_jobs()),
         cache_(cache),
-        planner_(cache, options.max_queue) {}
+        planner_(cache, options.max_queue),
+        pool_(options.isolation, jobs_) {}
 
   int run() {
     std::string error;
@@ -315,121 +295,18 @@ class Server {
     maybe_done(conn);
   }
 
-  // --- Worker management ---------------------------------------------------
+  // --- Workers (the shared sweep::ChildPool) --------------------------------
 
-  std::vector<int> fds_to_close_in_child() const {
-    std::vector<int> fds;
-    fds.push_back(listen_fd_);
-    for (const auto& c : conns_) fds.push_back(c.fd);
-    for (const auto& w : workers_) fds.push_back(w.fd);
-    return fds;
-  }
-
-  void spawn_job(long job, int attempt) {
-    sweep::ChildProc child;
-    std::string error;
-    if (!sweep::spawn_cell_child(planner_.job_cell(job),
-                                 static_cast<std::size_t>(job), attempt,
-                                 fds_to_close_in_child(), &child, &error)) {
-      sweep::CellResult r;
-      r.ok = false;
-      r.error = error;
-      std::vector<Planner::Delivery> out;
-      planner_.complete(job, r, &out);
-      deliver_all(out);
-      return;
-    }
-    Worker w;
-    w.job = job;
-    w.pid = child.pid;
-    w.fd = child.fd;
-    w.attempt = attempt;
-    w.stderr_path = child.stderr_path;
-    const double timeout_s =
-        sweep::attempt_timeout_s(opts_.isolation, attempt);
-    if (timeout_s > 0) {
-      w.has_deadline = true;
-      w.deadline = after_seconds(timeout_s);
-    }
-    logv("job %ld attempt %d -> pid %ld (%s)", job, attempt,
-         static_cast<long>(child.pid),
-         planner_.job_cell(job).label().c_str());
-    workers_.push_back(std::move(w));
-  }
-
-  void spawn_ready() {
-    if (draining_) return;
-    const Clock::time_point now = Clock::now();
-    // Due retries first (they hold planner "running" slots), then new jobs.
-    for (std::size_t i = 0;
-         i < retries_.size() && static_cast<int>(workers_.size()) < jobs_;) {
-      if (retries_[i].ready <= now) {
-        const PendingRetry r = retries_[i];
-        retries_.erase(retries_.begin() + static_cast<long>(i));
-        spawn_job(r.job, r.attempt);
-      } else {
-        ++i;
-      }
-    }
-    while (static_cast<int>(workers_.size()) < jobs_) {
-      const long job = planner_.next_job();
-      if (job < 0) break;
-      spawn_job(job, 1);
-    }
-  }
-
-  void harvest(Worker& w) {
-    ::close(w.fd);
-    int status = 0;
-    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    sweep::CellResult r;
-    const bool frame_ok = sweep::decode_cell_frame(w.buf, &r);
-    const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (frame_ok && clean_exit && !w.timed_out) {
-      r.failure.attempts = w.attempt;
-      std::remove(w.stderr_path.c_str());
-      std::vector<Planner::Delivery> out;
-      planner_.complete(w.job, r, &out);  // complete() stores to the cache
-      deliver_all(out);
-      return;
-    }
-    // Process-level failure: crash, timeout, or a garbled frame — identical
-    // taxonomy to run_supervised.
-    sweep::FailureRecord rec;
-    rec.attempts = w.attempt;
-    rec.timed_out = w.timed_out;
-    if (WIFSIGNALED(status)) {
-      rec.signaled = true;
-      rec.term_signal = WTERMSIG(status);
-    } else if (WIFEXITED(status)) {
-      rec.exit_code = WEXITSTATUS(status);
-    }
-    rec.stderr_tail = sweep::read_stderr_tail(w.stderr_path, 8192);
-    if (!opts_.isolation.forensics_dir.empty()) {
-      sweep::write_forensics(opts_.isolation.forensics_dir,
-                             planner_.job_cell(w.job),
-                             static_cast<std::size_t>(w.job), rec,
-                             w.stderr_path);
-    }
-    std::remove(w.stderr_path.c_str());
-    if (w.attempt <= opts_.isolation.cell_retries && !draining_) {
-      const double factor =
-          static_cast<double>(1 << std::min(w.attempt - 1, 20));
-      retries_.push_back(PendingRetry{
-          w.job, w.attempt + 1,
-          after_seconds(opts_.isolation.backoff_s * factor)});
-      logv("job %ld attempt %d failed (%s); retrying", w.job, w.attempt,
-           rec.signaled ? "signal" : (rec.timed_out ? "timeout" : "exit"));
-      return;
-    }
-    sweep::CellResult failed;
-    failed.ok = false;
-    failed.failure = rec;
-    failed.error = sweep::describe_process_failure(rec);
-    logv("job %ld quarantined after attempt %d", w.job, w.attempt);
+  /// Completes finished pool jobs in the planner (which stores verified
+  /// results in the cache) and delivers them to every waiting client.
+  void complete(std::vector<sweep::ChildPool::Outcome>* done) {
     std::vector<Planner::Delivery> out;
-    planner_.complete(w.job, failed, &out);
+    for (const sweep::ChildPool::Outcome& o : *done) {
+      logv("job %ld %s (attempt %d)", o.job, o.result.ok ? "done" : "failed",
+           o.result.failure.attempts);
+      planner_.complete(o.job, o.result, &out);
+    }
+    done->clear();
     deliver_all(out);
   }
 
@@ -441,42 +318,19 @@ class Server {
     ::close(listen_fd_);
     listen_fd_ = -1;
     logv("drain: signal %d — %zu queued, %zu retrying, %zu running", sig,
-         planner_.queued_jobs(), retries_.size(), workers_.size());
+         planner_.queued_jobs(), pool_.retrying(), pool_.running());
     std::vector<Planner::Delivery> out;
     // Queued cells fail in-band: clients get their partial grid promptly
     // instead of waiting on work that will never start.
     planner_.fail_queued("interrupted: daemon draining", &out);
-    // Jobs sitting out a retry backoff have no child either — same fate.
-    for (const PendingRetry& r : retries_) {
-      sweep::CellResult failed;
-      failed.ok = false;
-      failed.error = "interrupted: daemon draining";
-      planner_.complete(r.job, failed, &out);
-    }
-    retries_.clear();
     deliver_all(out);
+    // Jobs sitting out a retry backoff have no child either — same fate,
+    // and no failure from here on is retried.
+    std::vector<sweep::ChildPool::Outcome> done;
+    pool_.drop_retries("interrupted: daemon draining", &done);
+    complete(&done);
     // Running children get drain_timeout_s to finish; their results land in
     // the cache and in every waiting client.
-  }
-
-  void kill_remaining_workers() {
-    std::vector<Planner::Delivery> out;
-    for (Worker& w : workers_) {
-      ::kill(w.pid, SIGKILL);
-      ::close(w.fd);
-      int status = 0;
-      while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      std::remove(w.stderr_path.c_str());
-      sweep::CellResult failed;
-      failed.ok = false;
-      failed.failure.attempts = w.attempt;
-      failed.error = "interrupted: daemon draining (cell killed at the "
-                     "drain deadline; a restarted daemon will re-execute it)";
-      planner_.complete(w.job, failed, &out);
-    }
-    workers_.clear();
-    deliver_all(out);
   }
 
   // --- Event loop ----------------------------------------------------------
@@ -532,10 +386,7 @@ class Server {
   long long poll_timeout_ms() const {
     const Clock::time_point now = Clock::now();
     Clock::time_point next = now + std::chrono::milliseconds(200);
-    for (const Worker& w : workers_) {
-      if (w.has_deadline) next = std::min(next, w.deadline);
-    }
-    for (const PendingRetry& r : retries_) next = std::min(next, r.ready);
+    next = std::min(next, pool_.next_wakeup());
     for (const Conn& c : conns_) {
       if (c.has_deadline && !c.closing) next = std::min(next, c.deadline);
     }
@@ -547,7 +398,7 @@ class Server {
   }
 
   bool finished() const {
-    if (!draining_ || !workers_.empty() || !retries_.empty()) return false;
+    if (!draining_ || !pool_.idle()) return false;
     // Flushed everywhere -> clean exit. A stalled client that never reads
     // its last frames only holds the daemon until the drain deadline.
     return std::all_of(conns_.begin(), conns_.end(),
@@ -556,15 +407,20 @@ class Server {
   }
 
   void loop() {
+    std::vector<sweep::ChildPool::Outcome> done;
     while (true) {
       if (sweep::stop_requested() && !draining_) {
         begin_drain(sweep::stop_signal());
       }
-      if (draining_ && !workers_.empty() &&
+      if (draining_ && pool_.running() > 0 &&
           Clock::now() >= drain_deadline_) {
         logv("drain deadline: killing %zu remaining worker(s)",
-             workers_.size());
-        kill_remaining_workers();
+             pool_.running());
+        pool_.kill_all("interrupted: daemon draining (cell killed at the "
+                       "drain deadline; a restarted daemon will re-execute "
+                       "it)",
+                       &done);
+        complete(&done);
       }
       if (finished()) {
         // The deadline kill above queues the final cell + done frames after
@@ -574,7 +430,13 @@ class Server {
         for (Conn& c : conns_) (void)flush_conn(c);
         break;
       }
-      spawn_ready();
+      if (!draining_) {
+        // Children must not hold the listening socket or a client open.
+        std::vector<int> close_in_child = {listen_fd_};
+        for (const Conn& c : conns_) close_in_child.push_back(c.fd);
+        pool_.fill(planner_, close_in_child, &done);
+        complete(&done);
+      }
 
       std::vector<pollfd> fds;
       bool listen_polled = false;
@@ -592,41 +454,13 @@ class Server {
         fds.push_back(pollfd{c.fd, events, 0});
       }
       const std::size_t workers_at = fds.size();
-      for (const Worker& w : workers_) {
-        fds.push_back(pollfd{w.fd, POLLIN, 0});
-      }
+      pool_.add_pollfds(&fds);
       ::poll(fds.data(), fds.size(),
              static_cast<int>(poll_timeout_ms()));
 
-      // 1. Workers: drain pipes, harvest EOFs, enforce deadlines.
-      for (std::size_t i = 0; i < workers_.size();) {
-        Worker& w = workers_[i];
-        const pollfd& pfd = fds[workers_at + i];
-        bool done = false;
-        if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-          char chunk[4096];
-          for (;;) {
-            const ssize_t n = ::read(w.fd, chunk, sizeof(chunk));
-            if (n > 0) {
-              w.buf.append(chunk, static_cast<std::size_t>(n));
-              continue;
-            }
-            if (n == 0) done = true;
-            break;
-          }
-        }
-        if (!done && w.has_deadline && Clock::now() >= w.deadline) {
-          w.timed_out = true;
-          w.has_deadline = false;
-          ::kill(w.pid, SIGKILL);
-        }
-        if (done) {
-          harvest(w);
-          workers_.erase(workers_.begin() + static_cast<long>(i));
-        } else {
-          ++i;
-        }
-      }
+      // 1. Workers: drain pipes, reap finished children, enforce deadlines.
+      pool_.handle(fds.data() + workers_at, &done);
+      complete(&done);
 
       // 2. Connections: new bytes, flushes, deadlines, disconnects.
       for (std::size_t i = 0; i < conns_.size();) {
@@ -700,11 +534,10 @@ class Server {
   int jobs_;
   sweep::ResultCache* cache_;
   Planner planner_;
+  sweep::ChildPool pool_;
   int listen_fd_ = -1;
   int next_request_id_ = 1;
   std::vector<Conn> conns_;
-  std::vector<Worker> workers_;
-  std::vector<PendingRetry> retries_;
   bool draining_ = false;
   Clock::time_point drain_deadline_;
   std::uint64_t served_ = 0;

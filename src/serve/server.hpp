@@ -1,14 +1,14 @@
 // netcache_sweepd's engine: a single-threaded poll() event loop serving
 // grid requests over a Unix or TCP socket.
 //
-// Parallelism is the set of fork-isolated worker children (the same
-// spawn_cell_child / decode_cell_frame protocol as --isolate sweeps), so a
-// crashing or hung cell never takes the daemon down; its quarantine
-// diagnosis is forwarded in-band to every waiting client. The Planner
-// (planner.hpp) dedups cells across concurrent requests and enforces the
-// bounded admission queue; this file owns everything with a file descriptor
-// in it: sockets, worker pipes, retry/backoff/deadline timing, and the
-// drain state machine.
+// Parallelism is the set of fork-isolated worker children run by the same
+// sweep::ChildPool as --isolate sweeps (supervisor.hpp: fork, deadline
+// SIGKILL, retry/backoff, quarantine), so a crashing or hung cell never
+// takes the daemon down; its quarantine diagnosis is forwarded in-band to
+// every waiting client. The Planner (planner.hpp) dedups cells across
+// concurrent requests and enforces the bounded admission queue; this file
+// owns the sockets, admission, per-request deadlines and the drain state
+// machine, and polls the pool's pipes alongside its own fds.
 //
 // Robustness contract (DESIGN.md section 15):
 //  - bounded memory: admission queue bound (reject with a diagnosis, never

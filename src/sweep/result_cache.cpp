@@ -91,6 +91,22 @@ std::uint64_t compile_config_hash() {
 
 constexpr const char* kEntryMagic = "netcache-result-cache-entry v1";
 
+/// The whole file at `path`; "" when it is missing or unreadable (no entry
+/// is ever empty, so that always reads as a miss).
+std::string read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return {};
+  std::string content;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    content.append(buf, n);
+  }
+  if (std::ferror(f) != 0) content.clear();
+  std::fclose(f);
+  return content;
+}
+
 }  // namespace
 
 const std::string& version_fingerprint() {
@@ -226,17 +242,7 @@ bool ResultCache::lookup(const Cell& cell, core::RunSummary* out) {
     return false;
   };
 
-  std::FILE* f = std::fopen(entry_path(key).c_str(), "rb");
-  if (f == nullptr) return miss();
-  std::string content;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, n);
-  }
-  bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return miss();
+  const std::string content = read_file(entry_path(key));
 
   // Header: four lines, then the two exact-size payload sections, then the
   // "end" sentinel that proves the write ran to completion.
@@ -301,17 +307,27 @@ void ResultCache::store(const Cell& cell, const core::RunSummary& summary) {
   content += payload;
   content += "end\n";
 
+  // Same-key racers write identical bytes (the simulation is
+  // deterministic), so an entry that already holds exactly `content` is
+  // this store done. Skipping the rename matters: replacing an existing
+  // file by rename costs ~28 ms on ext4 (auto_da_alloc writeback), against
+  // ~0.01 ms onto a fresh name. A corrupt or different entry is replaced.
+  const std::string path = entry_path(key);
+  if (read_file(path) == content) {
+    stores_.fetch_add(1, std::memory_order_relaxed);
+    return maybe_gc();
+  }
+
   // Unique temp name per writer, then an atomic rename: a reader sees the
-  // old entry, the new entry, or nothing — never a torn file. Same-key
-  // racers write identical bytes (the simulation is deterministic), so
-  // last-rename-wins is benign.
+  // old entry, the new entry, or nothing — never a torn file; between
+  // racers last-rename-wins is benign.
   static std::atomic<std::uint64_t> temp_counter{0};
   char suffix[64];
   std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
                 static_cast<long>(::getpid()),
                 static_cast<unsigned long long>(
                     temp_counter.fetch_add(1, std::memory_order_relaxed)));
-  const std::string temp = entry_path(key) + suffix;
+  const std::string temp = path + suffix;
 
   auto fail = [&] {
     // Logged skip, never an error: a read-only or full cache directory
@@ -331,7 +347,7 @@ void ResultCache::store(const Cell& cell, const core::RunSummary& summary) {
             content.size();
   ok = std::fclose(f) == 0 && ok;
   if (!ok) return fail();
-  if (std::rename(temp.c_str(), entry_path(key).c_str()) != 0) return fail();
+  if (std::rename(temp.c_str(), path.c_str()) != 0) return fail();
   stores_.fetch_add(1, std::memory_order_relaxed);
   maybe_gc();
 }

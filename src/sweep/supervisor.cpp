@@ -7,8 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
 #include <filesystem>
 #include <string>
 
@@ -18,7 +18,7 @@
 #include <unistd.h>
 
 #include "src/common/nc_assert.hpp"
-#include "src/sweep/result_cache.hpp"
+#include "src/serve/planner.hpp"
 
 namespace netcache::sweep {
 
@@ -26,7 +26,11 @@ namespace netcache::sweep {
 
 namespace {
 
-volatile std::sig_atomic_t g_stop_signal = 0;
+// Written by the signal handler and request_stop(), read by supervising
+// threads: an atomic, and a lock-free one so the handler stays
+// async-signal-safe.
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 bool g_handlers_installed = false;
 struct sigaction g_old_int;
 struct sigaction g_old_term;
@@ -56,7 +60,7 @@ void remove_stop_handlers() {
 }
 
 bool stop_requested() { return g_stop_signal != 0; }
-int stop_signal() { return static_cast<int>(g_stop_signal); }
+int stop_signal() { return g_stop_signal; }
 void request_stop(int sig) { g_stop_signal = sig; }
 void clear_stop() { g_stop_signal = 0; }
 
@@ -142,28 +146,15 @@ bool write_all(int fd, const char* data, std::size_t n) {
 
 // --- Parent side ------------------------------------------------------------
 
-using Clock = std::chrono::steady_clock;
+using Clock = ChildPool::Clock;
 
-struct Attempt {
-  pid_t pid = -1;
-  int fd = -1;  // result-pipe read end (nonblocking)
-  std::size_t cell = 0;
-  int number = 1;  // 1-based attempt counter
-  bool has_deadline = false;
-  bool timed_out = false;
-  Clock::time_point deadline;
-  std::string buf;
-  std::string stderr_path;
-};
+Clock::time_point after_seconds(double s) {
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(s));
+}
 
-struct Retry {
-  std::size_t cell = 0;
-  int number = 1;
-  Clock::time_point ready;
-};
-
-}  // namespace
-
+/// Decodes one complete child result frame. False on a partial or garbled
+/// buffer — a process-level failure of the attempt.
 bool decode_cell_frame(const std::string& buf, CellResult* out) {
   const std::string magic = std::string(kFrameMagic) + "\n";
   if (buf.compare(0, magic.size(), magic) != 0) return false;
@@ -183,19 +174,18 @@ bool decode_cell_frame(const std::string& buf, CellResult* out) {
   }
   const std::string payload = buf.substr(start, bytes);
   CellResult r;
-  if (ok == 1) {
-    if (!core::deserialize_summary(payload, &r.summary)) return false;
-    r.ok = true;
-  } else {
-    r.ok = false;
+  r.ok = ok == 1;
+  if (!r.ok) {
     r.error = payload;
+  } else if (!core::deserialize_summary(payload, &r.summary)) {
+    return false;
   }
-  *out = r;
+  *out = std::move(r);
   return true;
 }
 
+/// Last `max_bytes` of the file at `path` ("" when unreadable).
 std::string read_stderr_tail(const std::string& path, std::size_t max_bytes) {
-  // (exported: the serving daemon harvests worker stderr the same way)
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return {};
   std::fseek(f, 0, SEEK_END);
@@ -211,7 +201,7 @@ std::string read_stderr_tail(const std::string& path, std::size_t max_bytes) {
   return out;
 }
 
-static std::string sanitize_label(const std::string& label) {
+std::string sanitize_label(const std::string& label) {
   std::string out;
   for (char c : label) {
     out += std::isalnum(static_cast<unsigned char>(c)) ? c : '-';
@@ -219,6 +209,8 @@ static std::string sanitize_label(const std::string& label) {
   return out;
 }
 
+/// Human-readable diagnosis of a process-level failure (signal, exit code,
+/// timeout, attempts) with the harvested stderr tail appended.
 std::string describe_process_failure(const FailureRecord& rec) {
   char buf[160];
   if (rec.timed_out) {
@@ -243,20 +235,20 @@ std::string describe_process_failure(const FailureRecord& rec) {
 
 /// Writes one per-attempt forensics file: a status header plus the child's
 /// full captured stderr.
-void write_forensics(const std::string& dir, const Cell& cell,
-                     std::size_t index, const FailureRecord& rec,
+void write_forensics(const std::string& dir, const Cell& cell, long job,
+                     const FailureRecord& rec,
                      const std::string& stderr_path) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   char name[128];
-  std::snprintf(name, sizeof(name), "cell-%03zu-%s-attempt%d.log", index,
+  std::snprintf(name, sizeof(name), "cell-%03ld-%s-attempt%d.log", job,
                 sanitize_label(cell.label()).c_str(), rec.attempts);
   const std::string path = dir + "/" + name;
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return;
-  std::fprintf(f, "cell %zu %s\nattempt %d\ntimed_out %d\nsignal %d\n"
+  std::fprintf(f, "cell %ld %s\nattempt %d\ntimed_out %d\nsignal %d\n"
                   "exit_code %d\n--- stderr ---\n",
-               index, cell.label().c_str(), rec.attempts,
+               job, cell.label().c_str(), rec.attempts,
                rec.timed_out ? 1 : 0, rec.signaled ? rec.term_signal : 0,
                rec.signaled ? -1 : rec.exit_code);
   const std::string full = read_stderr_tail(stderr_path, 1 << 20);
@@ -264,30 +256,86 @@ void write_forensics(const std::string& dir, const Cell& cell,
   std::fclose(f);
 }
 
-static std::string stderr_capture_path(std::size_t cell, int attempt) {
+std::string stderr_capture_path(long job, int attempt) {
   const char* tmp = std::getenv("TMPDIR");
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "%s/netcache-cell-%ld-%zu-%d.stderr",
+  std::snprintf(buf, sizeof(buf), "%s/netcache-cell-%ld-%ld-%d.stderr",
                 tmp != nullptr && *tmp != '\0' ? tmp : "/tmp",
-                static_cast<long>(::getpid()), cell, attempt);
+                static_cast<long>(::getpid()), job, attempt);
   return buf;
 }
 
-bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
-                      const std::vector<int>& close_in_child, ChildProc* out,
-                      std::string* error) {
+/// Closes the result pipe and waits for the child; returns its wait status.
+int close_and_wait(int fd, pid_t pid) {
+  ::close(fd);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return status;
+}
+
+ChildPool::Outcome failed(long job, int attempts, const std::string& why) {
+  ChildPool::Outcome o;
+  o.job = job;
+  o.result.failure.attempts = attempts;
+  o.result.error = why;
+  return o;
+}
+
+}  // namespace
+
+double attempt_timeout_s(const IsolationOptions& opts, int attempt) {
+  if (opts.cell_timeout_s <= 0) return 0;
+  const int shift = std::clamp(attempt - 1, 0, 3);
+  return opts.cell_timeout_s * static_cast<double>(1 << shift);
+}
+
+// --- ChildPool --------------------------------------------------------------
+
+ChildPool::ChildPool(const IsolationOptions& opts, int slots)
+    : opts_(opts), slots_(static_cast<std::size_t>(std::max(slots, 1))) {}
+
+ChildPool::~ChildPool() {
+  std::vector<Outcome> ignored;
+  kill_all({}, &ignored);
+}
+
+void ChildPool::fill(serve::Planner& planner,
+                     const std::vector<int>& close_in_child,
+                     std::vector<Outcome>* out) {
+  const Clock::time_point now = Clock::now();
+  // Due retries first (their jobs already hold planner "running" slots),
+  // then new jobs in planner FIFO order.
+  for (std::size_t i = 0;
+       i < backoffs_.size() && children_.size() < slots_;) {
+    if (backoffs_[i].ready > now) {
+      ++i;
+      continue;
+    }
+    const Backoff b = backoffs_[i];
+    backoffs_.erase(backoffs_.begin() + static_cast<long>(i));
+    start(b.job, b.cell, b.attempt, close_in_child, out);
+  }
+  while (children_.size() < slots_) {
+    const long job = planner.next_job();
+    if (job < 0) break;
+    start(job, &planner.job_cell(job), 1, close_in_child, out);
+  }
+}
+
+void ChildPool::start(long job, const Cell* cell, int attempt,
+                      const std::vector<int>& close_in_child,
+                      std::vector<Outcome>* out) {
   int fds[2];
   if (::pipe(fds) != 0) {
-    if (error != nullptr) *error = "supervisor: pipe() failed";
-    return false;
+    return out->push_back(failed(job, 0, "supervisor: pipe() failed"));
   }
-  const std::string err_path = stderr_capture_path(index, attempt);
-  pid_t pid = ::fork();
+  const std::string err_path = stderr_capture_path(job, attempt);
+  const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
-    if (error != nullptr) *error = "supervisor: fork() failed";
-    return false;
+    return out->push_back(failed(job, 0, "supervisor: fork() failed"));
   }
   if (pid == 0) {
     // Child: default signal dispositions (a terminal Ctrl+C must kill the
@@ -298,229 +346,173 @@ bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
     std::signal(SIGPIPE, SIG_DFL);
     ::close(fds[0]);
     for (int fd : close_in_child) ::close(fd);
+    for (const Child& c : children_) ::close(c.fd);
     int err_fd = ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
     if (err_fd >= 0) {
       ::dup2(err_fd, 2);
       ::close(err_fd);
     }
-    run_cell_entrypoint(cell, fds[1]);
+    run_cell_entrypoint(*cell, fds[1]);
   }
-  // Parent.
   ::close(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-  out->pid = pid;
-  out->fd = fds[0];
-  out->stderr_path = err_path;
-  return true;
+  Child c{.job = job, .cell = cell, .attempt = attempt, .pid = pid,
+          .fd = fds[0], .stderr_path = err_path};
+  // Retries get an escalated wall-clock budget (x2 per attempt, capped): a
+  // slow-but-correct cell should not burn its whole retry budget on
+  // identical SIGKILLs.
+  const double timeout_s = attempt_timeout_s(opts_, attempt);
+  if (timeout_s > 0) c.deadline = after_seconds(timeout_s);
+  children_.push_back(std::move(c));
 }
 
-double attempt_timeout_s(const IsolationOptions& opts, int attempt) {
-  if (opts.cell_timeout_s <= 0) return 0;
-  const int shift = std::clamp(attempt - 1, 0, 3);
-  return opts.cell_timeout_s * static_cast<double>(1 << shift);
+void ChildPool::add_pollfds(std::vector<pollfd>* fds) const {
+  for (const Child& c : children_) fds->push_back(pollfd{c.fd, POLLIN, 0});
 }
+
+Clock::time_point ChildPool::next_wakeup() const {
+  Clock::time_point next = Clock::time_point::max();
+  for (const Child& c : children_) next = std::min(next, c.deadline);
+  for (const Backoff& b : backoffs_) next = std::min(next, b.ready);
+  return next;
+}
+
+void ChildPool::handle(const pollfd* revents, std::vector<Outcome>* out) {
+  std::vector<Child> still_running;
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    Child& c = children_[i];
+    // EOF (all write ends closed — only the owning child ever held one)
+    // means the attempt is done.
+    ssize_t n = -1;
+    if (revents[i].revents & (POLLIN | POLLHUP | POLLERR)) {
+      char chunk[4096];
+      while ((n = ::read(c.fd, chunk, sizeof(chunk))) > 0) {
+        c.buf.append(chunk, static_cast<std::size_t>(n));
+      }
+    }
+    if (n == 0) {
+      reap(c, out);
+      continue;
+    }
+    if (Clock::now() >= c.deadline) {
+      // Budget exhausted: SIGKILL; the pipe EOF arrives on a later poll
+      // round and reap() sees timed_out.
+      c.timed_out = true;
+      c.deadline = Clock::time_point::max();
+      ::kill(c.pid, SIGKILL);
+    }
+    still_running.push_back(std::move(c));
+  }
+  children_ = std::move(still_running);
+}
+
+void ChildPool::reap(Child& c, std::vector<Outcome>* out) {
+  const int status = close_and_wait(c.fd, c.pid);
+  Outcome o;
+  o.job = c.job;
+  const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  if (decode_cell_frame(c.buf, &o.result) && clean_exit && !c.timed_out) {
+    // In-band outcome — success or a diagnosed (deterministic) failure.
+    o.result.failure.attempts = c.attempt;
+    std::remove(c.stderr_path.c_str());
+    out->push_back(std::move(o));
+    return;
+  }
+  // Process-level failure: crash, timeout, or a garbled frame.
+  FailureRecord rec;
+  rec.attempts = c.attempt;
+  rec.timed_out = c.timed_out;
+  if (WIFSIGNALED(status)) {
+    rec.signaled = true;
+    rec.term_signal = WTERMSIG(status);
+  } else if (WIFEXITED(status)) {
+    rec.exit_code = WEXITSTATUS(status);
+  }
+  rec.stderr_tail = read_stderr_tail(c.stderr_path, 8192);
+  if (!opts_.forensics_dir.empty()) {
+    write_forensics(opts_.forensics_dir, *c.cell, c.job, rec, c.stderr_path);
+  }
+  std::remove(c.stderr_path.c_str());
+  if (retrying_ && c.attempt <= opts_.cell_retries) {
+    // Possibly transient: exponential backoff, then another child.
+    const double factor = static_cast<double>(1 << std::min(c.attempt - 1,
+                                                            20));
+    backoffs_.push_back(Backoff{c.job, c.cell, c.attempt + 1,
+                                after_seconds(opts_.backoff_s * factor)});
+    return;
+  }
+  // Quarantined: deterministic (or budget-exhausted) process failure.
+  o.result = CellResult{};
+  o.result.failure = rec;
+  o.result.error = describe_process_failure(rec);
+  out->push_back(std::move(o));
+}
+
+void ChildPool::kill_all(const std::string& reason,
+                         std::vector<Outcome>* out) {
+  for (Child& c : children_) {
+    ::kill(c.pid, SIGKILL);
+    close_and_wait(c.fd, c.pid);
+    std::remove(c.stderr_path.c_str());
+    out->push_back(failed(c.job, c.attempt, reason));
+  }
+  children_.clear();
+}
+
+void ChildPool::drop_retries(const std::string& reason,
+                             std::vector<Outcome>* out) {
+  retrying_ = false;
+  for (const Backoff& b : backoffs_) out->push_back(failed(b.job, 0, reason));
+  backoffs_.clear();
+}
+
+// --- Isolated grids ---------------------------------------------------------
 
 std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
                                        int jobs,
                                        const IsolationOptions& opts,
                                        ResultCache* cache) {
-  if (jobs < 1) jobs = 1;
   std::vector<CellResult> results(cells.size());
-
-  // Cache pre-pass in the parent: children never open the cache, so a hit
-  // costs no fork and a store happens exactly once, after harvest.
-  std::deque<Retry> ready;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (cache != nullptr && cache->lookup(cells[i], &results[i].summary)) {
-      results[i].ok = true;
-      results[i].from_cache = true;
-    } else {
-      ready.push_back(Retry{i, 1, Clock::now()});
+  // The whole grid is one planner request: cache hits are served at
+  // admission, duplicate cells run once, verified results are stored as
+  // they complete.
+  constexpr int kGrid = 1;
+  serve::Planner planner(cache, cells.size());
+  serve::Planner::Admission adm = planner.admit(kGrid, cells);
+  NC_ASSERT(adm.accepted, "supervisor: a grid always fits its own planner");
+  std::vector<serve::Planner::Delivery> delivered = std::move(adm.immediate);
+  ChildPool pool(opts, jobs);
+  std::vector<ChildPool::Outcome> finished;
+  auto settle = [&] {
+    for (const ChildPool::Outcome& o : finished) {
+      planner.complete(o.job, o.result, &delivered);
     }
-  }
-
-  std::vector<Attempt> active;
-  std::vector<Retry> delayed;
-
-  auto spawn_attempt = [&](std::size_t cell_index, int attempt_number) {
-    std::vector<int> close_in_child;
-    close_in_child.reserve(active.size());
-    for (const Attempt& a : active) close_in_child.push_back(a.fd);
-    ChildProc child;
-    std::string spawn_error;
-    if (!spawn_cell_child(cells[cell_index], cell_index, attempt_number,
-                          close_in_child, &child, &spawn_error)) {
-      results[cell_index].ok = false;
-      results[cell_index].error = spawn_error;
-      return;
+    finished.clear();
+    for (serve::Planner::Delivery& d : delivered) {
+      results[d.index] = std::move(d.result);
     }
-    Attempt a;
-    a.pid = child.pid;
-    a.fd = child.fd;
-    a.cell = cell_index;
-    a.number = attempt_number;
-    a.stderr_path = child.stderr_path;
-    // Retries get an escalated wall-clock budget (x2 per attempt, capped):
-    // a slow-but-correct cell should not burn its whole retry budget on
-    // identical SIGKILLs.
-    const double timeout_s = attempt_timeout_s(opts, attempt_number);
-    if (timeout_s > 0) {
-      a.has_deadline = true;
-      a.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double>(timeout_s));
-    }
-    active.push_back(std::move(a));
+    delivered.clear();
   };
-
-  auto finalize = [&](Attempt& a) {
-    ::close(a.fd);
-    int status = 0;
-    while (::waitpid(a.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    CellResult r;
-    const bool frame_ok = decode_cell_frame(a.buf, &r);
-    const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (frame_ok && clean_exit && !a.timed_out) {
-      // In-band outcome — success or a diagnosed (deterministic) failure.
-      r.failure.attempts = a.number;
-      results[a.cell] = r;
-      if (r.ok && r.summary.verified && cache != nullptr) {
-        cache->store(cells[a.cell], r.summary);
-      }
-      std::remove(a.stderr_path.c_str());
-      return;
-    }
-    // Process-level failure: crash, timeout, or a garbled frame.
-    FailureRecord rec;
-    rec.attempts = a.number;
-    rec.timed_out = a.timed_out;
-    if (WIFSIGNALED(status)) {
-      rec.signaled = true;
-      rec.term_signal = WTERMSIG(status);
-    } else if (WIFEXITED(status)) {
-      rec.exit_code = WEXITSTATUS(status);
-    }
-    rec.stderr_tail = read_stderr_tail(a.stderr_path, 8192);
-    if (!opts.forensics_dir.empty()) {
-      write_forensics(opts.forensics_dir, cells[a.cell], a.cell, rec,
-                      a.stderr_path);
-    }
-    std::remove(a.stderr_path.c_str());
-    if (a.number <= opts.cell_retries) {
-      // Possibly transient: exponential backoff, then another child.
-      const double factor = static_cast<double>(1 << std::min(a.number - 1,
-                                                              20));
-      const auto wait = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(opts.backoff_s * factor));
-      delayed.push_back(Retry{a.cell, a.number + 1, Clock::now() + wait});
-      return;
-    }
-    // Quarantined: deterministic (or budget-exhausted) process failure.
-    results[a.cell].ok = false;
-    results[a.cell].failure = rec;
-    results[a.cell].error = describe_process_failure(rec);
-  };
-
-  auto kill_and_reap_all = [&] {
-    for (Attempt& a : active) {
-      ::kill(a.pid, SIGKILL);
-      ::close(a.fd);
-      int status = 0;
-      while (::waitpid(a.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      std::remove(a.stderr_path.c_str());
-      results[a.cell].ok = false;
-      results[a.cell].failure.attempts = a.number;
-      results[a.cell].error = "interrupted: stop requested while running";
-    }
-    active.clear();
-  };
-
-  while (!ready.empty() || !delayed.empty() || !active.empty()) {
+  for (;;) {
+    settle();
+    if (planner.pending(kGrid) == 0) break;
     if (stop_requested()) {
-      kill_and_reap_all();
-      auto mark = [&](const Retry& p) {
-        results[p.cell].ok = false;
-        results[p.cell].error = "interrupted: stopped before dispatch";
-      };
-      for (const Retry& p : ready) mark(p);
-      for (const Retry& p : delayed) mark(p);
+      pool.kill_all("interrupted: stop requested while running", &finished);
+      pool.drop_retries("interrupted: stopped before dispatch", &finished);
+      planner.fail_queued("interrupted: stopped before dispatch", &delivered);
+      settle();
       break;
     }
-    const Clock::time_point now = Clock::now();
-    // Promote due retries, then fill free child slots in submission order.
-    for (std::size_t i = 0; i < delayed.size();) {
-      if (delayed[i].ready <= now) {
-        ready.push_back(delayed[i]);
-        delayed.erase(delayed.begin() + static_cast<long>(i));
-      } else {
-        ++i;
-      }
-    }
-    while (!ready.empty() && static_cast<int>(active.size()) < jobs) {
-      Retry next = ready.front();
-      ready.pop_front();
-      spawn_attempt(next.cell, next.number);
-    }
-    if (active.empty()) {
-      if (delayed.empty()) continue;  // spawn failures only — queue drained
-      // Nothing running; sleep until the earliest retry (capped so a stop
-      // request is noticed promptly).
-      Clock::time_point earliest = delayed[0].ready;
-      for (const Retry& p : delayed) earliest = std::min(earliest, p.ready);
-      auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    earliest - Clock::now())
-                    .count();
-      ::poll(nullptr, 0, static_cast<int>(std::clamp<long long>(ms, 0, 200)));
-      continue;
-    }
-    // Wait for output/EOF from any child, a deadline, or a retry ready-time
-    // — capped at 200 ms so stop requests and deadlines are always noticed.
-    std::vector<pollfd> fds(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      fds[i] = pollfd{active[i].fd, POLLIN, 0};
-    }
-    long long timeout_ms = 200;
-    for (const Attempt& a : active) {
-      if (!a.has_deadline) continue;
-      auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    a.deadline - Clock::now())
-                    .count();
-      timeout_ms = std::min(timeout_ms, std::max<long long>(ms, 0));
-    }
-    ::poll(fds.data(), fds.size(), static_cast<int>(timeout_ms));
-    // Drain readable pipes; EOF (all write ends closed — only the owning
-    // child ever held one) means the attempt is done: harvest it.
-    for (std::size_t i = 0; i < active.size();) {
-      Attempt& a = active[i];
-      bool done = false;
-      if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-        char chunk[4096];
-        for (;;) {
-          ssize_t n = ::read(a.fd, chunk, sizeof(chunk));
-          if (n > 0) {
-            a.buf.append(chunk, static_cast<std::size_t>(n));
-            continue;
-          }
-          if (n == 0) done = true;  // EOF
-          break;  // EOF or EAGAIN/EINTR
-        }
-      }
-      if (!done && a.has_deadline && Clock::now() >= a.deadline) {
-        // Budget exhausted: SIGKILL; the pipe EOF arrives on the next poll
-        // round and the harvest sees timed_out.
-        a.timed_out = true;
-        a.has_deadline = false;
-        ::kill(a.pid, SIGKILL);
-      }
-      if (done) {
-        finalize(a);
-        active.erase(active.begin() + static_cast<long>(i));
-        fds.erase(fds.begin() + static_cast<long>(i));
-      } else {
-        ++i;
-      }
-    }
+    pool.fill(planner, {}, &finished);
+    // Wait for child output/EOF, a deadline, or a retry's ready time —
+    // capped at 200 ms so a stop request is always noticed.
+    std::vector<pollfd> fds;
+    pool.add_pollfds(&fds);
+    const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
+        pool.next_wakeup() - Clock::now());
+    ::poll(fds.data(), fds.size(),
+           static_cast<int>(std::clamp<long long>(wait.count(), 0, 200)));
+    pool.handle(fds.data(), &finished);
   }
   return results;
 }

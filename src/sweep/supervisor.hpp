@@ -32,11 +32,21 @@
 //
 // Successful verified results are stored in the result cache by the parent,
 // so re-running a partially failed grid re-executes only the failed cells.
+// The same ChildPool runs the serving daemon's workers (src/serve/).
 #pragma once
 
+#include <chrono>
+#include <string>
 #include <vector>
 
+#include <poll.h>
+#include <sys/types.h>
+
 #include "src/sweep/sweep.hpp"
+
+namespace netcache::serve {
+class Planner;
+}
 
 namespace netcache::sweep {
 
@@ -62,58 +72,102 @@ void request_stop(int sig);
 void clear_stop();
 
 /// Runs `cells` under process isolation with at most `jobs` concurrent
-/// children and returns results in submission order. `cache` (may be null)
-/// is consulted before dispatch and populated by the parent after harvest —
-/// children never touch it. Called by SweepDriver::run(); callable directly
-/// by tests.
+/// children and returns results in submission order. The grid is admitted
+/// as one request to a serve::Planner, so duplicate cells simulate once and
+/// `cache` (may be null) is consulted at admission and populated by the
+/// parent as each verified result lands — children never touch it. Called
+/// by SweepDriver::run(); callable directly by tests.
 std::vector<CellResult> run_supervised(const std::vector<Cell>& cells,
                                        int jobs,
                                        const IsolationOptions& opts,
                                        ResultCache* cache);
 
-// --- Supervision hooks (shared with the serving daemon, src/serve/) --------
-// run_supervised() and netcache_sweepd drive the same child protocol: fork a
-// worker that runs exactly one cell and writes one length-prefixed result
-// frame (the result cache's %a hex-float RunSummary serialization) over a
-// pipe. Exporting the pieces keeps the two supervisors byte-compatible: a
-// served result is produced by the very same entrypoint as an --isolate run.
+/// The supervised child pool shared by run_supervised() and netcache_sweepd.
+/// It owns every attempt from fork to verdict: the forked child runs exactly
+/// one cell and writes one length-prefixed result frame (the result cache's
+/// %a hex-float RunSummary serialization) over a pipe; the pool enforces the
+/// attempt_timeout_s() deadline with SIGKILL, decodes the frame, classifies
+/// the exit, writes per-attempt forensics, retries process-level failures
+/// after backoff_s * 2^(attempt-1) up to cell_retries, and finally
+/// quarantines them with a FailureRecord. In-band failures are never retried.
+///
+/// The pool never blocks: its owner polls the fds from add_pollfds() (plus
+/// its own) with a timeout no later than next_wakeup(), then hands the
+/// revents back to handle(). Jobs come from a serve::Planner; each finished
+/// job is returned as one Outcome for the owner to complete in the planner.
+class ChildPool {
+ public:
+  using Clock = std::chrono::steady_clock;
 
-/// One forked cell attempt, parent side. `fd` is the nonblocking read end of
-/// the result pipe; EOF means the attempt finished (harvest with
-/// decode_cell_frame + waitpid).
-struct ChildProc {
-  pid_t pid = -1;
-  int fd = -1;
-  /// Private file capturing the child's stderr (FailureReporter forensics);
-  /// the harvester reads the tail and unlinks it.
-  std::string stderr_path;
+  struct Outcome {
+    long job = -1;
+    CellResult result;
+  };
+
+  ChildPool(const IsolationOptions& opts, int slots);
+  /// Kills and reaps any child still running: the pool never orphans one.
+  ~ChildPool();
+  ChildPool(const ChildPool&) = delete;
+  ChildPool& operator=(const ChildPool&) = delete;
+
+  /// Fills free slots: retries whose backoff has elapsed first, then new jobs
+  /// from planner.next_job(). `close_in_child` lists the owner's fds a child
+  /// must not inherit (listening sockets, client connections). A failed
+  /// pipe()/fork() finishes its job at once.
+  void fill(serve::Planner& planner, const std::vector<int>& close_in_child,
+            std::vector<Outcome>* out);
+
+  /// Appends one pollfd per running child, in the order handle() expects.
+  void add_pollfds(std::vector<pollfd>* fds) const;
+  /// Earliest attempt deadline or retry ready time (time_point::max() when
+  /// there is neither).
+  Clock::time_point next_wakeup() const;
+  /// Consumes the revents of the pollfds add_pollfds() appended: drains the
+  /// pipes, SIGKILLs attempts past their deadline, reaps finished children.
+  void handle(const pollfd* revents, std::vector<Outcome>* out);
+
+  /// SIGKILLs and reaps every running child; each job fails with `reason`.
+  void kill_all(const std::string& reason, std::vector<Outcome>* out);
+  /// Fails every job waiting out a backoff with `reason`; from now on a
+  /// process-level failure is quarantined at once instead of retried.
+  void drop_retries(const std::string& reason, std::vector<Outcome>* out);
+
+  std::size_t running() const { return children_.size(); }
+  std::size_t retrying() const { return backoffs_.size(); }
+  bool idle() const { return children_.empty() && backoffs_.empty(); }
+
+ private:
+  /// One running attempt, parent side.
+  struct Child {
+    long job = -1;
+    const Cell* cell = nullptr;  // owned by the planner until completion
+    int attempt = 1;             // 1-based
+    pid_t pid = -1;
+    int fd = -1;  // nonblocking read end of the result pipe
+    std::string stderr_path;  // the child's captured stderr
+    bool timed_out = false;
+    Clock::time_point deadline = Clock::time_point::max();
+    std::string buf{};  // the result frame read so far
+  };
+  /// A failed attempt waiting out its backoff before the next one.
+  struct Backoff {
+    long job = -1;
+    const Cell* cell = nullptr;
+    int attempt = 1;  // the attempt to run next
+    Clock::time_point ready;
+  };
+
+  void start(long job, const Cell* cell, int attempt,
+             const std::vector<int>& close_in_child,
+             std::vector<Outcome>* out);
+  void reap(Child& c, std::vector<Outcome>* out);
+
+  IsolationOptions opts_;
+  std::size_t slots_;
+  bool retrying_ = true;
+  std::vector<Child> children_;
+  std::vector<Backoff> backoffs_;
 };
-
-/// Forks a child running `cell` (via the run_cell entrypoint) and fills
-/// `out`. `index`/`attempt` only name the stderr capture file.
-/// `close_in_child` lists parent fds the child must not inherit holding open
-/// (other result pipes, listening sockets, client connections). Returns
-/// false (with *error set) when pipe() or fork() fails.
-bool spawn_cell_child(const Cell& cell, std::size_t index, int attempt,
-                      const std::vector<int>& close_in_child, ChildProc* out,
-                      std::string* error);
-
-/// Decodes one complete child result frame. False on a partial or garbled
-/// buffer — a process-level failure of the attempt.
-bool decode_cell_frame(const std::string& buf, CellResult* out);
-
-/// Human-readable diagnosis of a process-level failure (signal, exit code,
-/// timeout, attempts) with the harvested stderr tail appended.
-std::string describe_process_failure(const FailureRecord& rec);
-
-/// Last `max_bytes` of the file at `path` ("" when unreadable).
-std::string read_stderr_tail(const std::string& path, std::size_t max_bytes);
-
-/// Writes one per-attempt forensics file under `dir`: status header plus the
-/// child's full captured stderr.
-void write_forensics(const std::string& dir, const Cell& cell,
-                     std::size_t index, const FailureRecord& rec,
-                     const std::string& stderr_path);
 
 /// Wall-clock budget for attempt number `attempt` (1-based): the base
 /// cell_timeout_s doubled per retry and capped at 8x. A slow-but-correct

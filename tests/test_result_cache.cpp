@@ -250,6 +250,49 @@ TEST_F(ResultCacheTest, CorruptedAndTruncatedEntriesAreMissesNotErrors) {
   EXPECT_EQ(out.run_time, 1234);
 }
 
+TEST_F(ResultCacheTest, StoreReplacesACorruptOrDifferentEntry) {
+  // store() skips rewriting an entry that already holds its exact bytes;
+  // anything else on disk under the key must still be replaced.
+  sweep::ResultCache cache(dir());
+  const sweep::Cell cell = fast_cell();
+  core::RunSummary summary;
+  summary.app = "sor";
+  summary.run_time = 1234;
+  summary.verified = true;
+  cache.store(cell, summary);
+  const std::string path = entry_path(cache.key_for(cell));
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  bytes[bytes.size() / 2] ^= 0x20;  // same size, checksum no longer matches
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  core::RunSummary out;
+  ASSERT_FALSE(cache.lookup(cell, &out));
+
+  cache.store(cell, summary);
+  ASSERT_TRUE(cache.lookup(cell, &out));
+  EXPECT_EQ(core::serialize_summary(out), core::serialize_summary(summary));
+
+  core::RunSummary other = summary;
+  other.run_time = 4321;
+  cache.store(cell, other);
+  ASSERT_TRUE(cache.lookup(cell, &out));
+  EXPECT_EQ(out.run_time, 4321u);
+
+  cache.store(cell, other);  // identical re-store: counted, nothing written
+  EXPECT_EQ(cache.stats().stores, 4u);
+  EXPECT_EQ(cache.stats().store_errors, 0u);
+  for (const auto& entry : fs::directory_iterator(dir())) {
+    EXPECT_EQ(entry.path().extension(), ".ncr") << entry.path();
+  }
+}
+
 TEST_F(ResultCacheTest, ConcurrentWritersNeverExposeATornEntry) {
   // 8 writers hammering 10 keys — the same-key races a --jobs=8 sweep (or
   // two bench binaries in one nightly) produces. Readers interleave and must

@@ -27,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "src/apps/workload.hpp"
 #include "src/core/run_summary.hpp"
 #include "src/sweep/result_cache.hpp"
 #include "src/sweep/supervisor.hpp"
@@ -323,6 +324,23 @@ TEST(ServePlanner, DuplicateCellsWithinOneRequestShareOneJob) {
   EXPECT_EQ(out[0].index, 0u);
   EXPECT_EQ(out[1].index, 1u);
   EXPECT_EQ(planner.pending(7), 0u);
+}
+
+TEST(ServePlanner, UncacheableCellsNeverDedupEvenWithEqualLabels) {
+  // Custom-workload cells cannot be compared: two with the same label (same
+  // app and system, different node counts) in one request are two jobs.
+  std::vector<sweep::Cell> cells = {plan_cell("sor", 4), plan_cell("sor", 8)};
+  for (sweep::Cell& cell : cells) {
+    cell.make_workload = [] {
+      return apps::make_workload("sor", apps::WorkloadParams{});
+    };
+  }
+  serve::Planner planner(nullptr, 16);
+  serve::Planner::Admission a = planner.admit(1, cells);
+  ASSERT_TRUE(a.accepted) << a.reject_reason;
+  EXPECT_EQ(a.new_jobs, 2u);
+  EXPECT_EQ(a.attached, 0u);
+  EXPECT_EQ(planner.queued_jobs(), 2u);
 }
 
 TEST(ServePlanner, OverloadRejectionIsAtomicAndLeavesNoState) {

@@ -144,6 +144,50 @@ TEST_F(SupervisorTest, CrashCellFailsAloneWhileTheGridCompletes) {
   EXPECT_NE(body.find("signal 6"), std::string::npos) << body;
 }
 
+TEST_F(SupervisorTest, DuplicateCellsInOneIsolatedGridSimulateOnce) {
+  // Isolated grids run through the dedup planner: the two identical crash
+  // cells are one job, so one child crashes, one forensics file is written,
+  // and both grid slots carry its diagnosis.
+  std::vector<sweep::Cell> cells = {
+      faulted_cell("crash:1"),
+      fast_cell("sor", SystemKind::kLambdaNet),
+      faulted_cell("crash:1"),
+  };
+  sweep::IsolationOptions opts = isolation();
+  opts.forensics_dir = (dir_ / "forensics").string();
+
+  std::vector<sweep::CellResult> results =
+      sweep::run_supervised(cells, 2, opts, nullptr);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i : {0u, 2u}) {
+    EXPECT_FALSE(results[i].ok);
+    EXPECT_TRUE(results[i].failure.signaled);
+    EXPECT_EQ(results[i].failure.term_signal, SIGABRT);
+  }
+  EXPECT_EQ(results[0].error, results[2].error);
+
+  std::size_t first_attempts = 0;
+  for (const auto& entry : fs::directory_iterator(opts.forensics_dir)) {
+    if (entry.path().filename().string().find("attempt1") !=
+        std::string::npos) {
+      ++first_attempts;
+    }
+  }
+  EXPECT_EQ(first_attempts, 1u);
+
+  sweep::SweepDriver threaded(1);
+  threaded.submit(cells[1]);
+  threaded.set_result_cache(nullptr);
+  sweep::IsolationOptions off;
+  off.enabled = false;
+  threaded.set_isolation(off);
+  threaded.run();
+  ASSERT_TRUE(results[1].ok) << results[1].error;
+  ASSERT_TRUE(threaded.result(0).ok) << threaded.result(0).error;
+  EXPECT_EQ(summary_bytes_sans_wall(results[1].summary),
+            summary_bytes_sans_wall(threaded.result(0).summary));
+}
+
 TEST_F(SupervisorTest, TimeoutKillsALivelockedCell) {
   // The companion cell fails in-band within milliseconds (watchdog trip) —
   // fast enough to settle inside the 2 s budget even under a sanitizer, yet
