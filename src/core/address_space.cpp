@@ -1,5 +1,7 @@
 #include "src/core/address_space.hpp"
 
+#include <bit>
+
 #include "src/common/nc_assert.hpp"
 
 namespace netcache::core {
@@ -7,6 +9,7 @@ namespace netcache::core {
 AddressSpace::AddressSpace(int nodes, int block_bytes)
     : nodes_(nodes),
       block_bytes_(block_bytes),
+      block_shift_(std::countr_zero(static_cast<unsigned>(block_bytes))),
       private_top_(static_cast<std::size_t>(nodes), 0) {
   NC_ASSERT(nodes > 0, "need nodes");
   NC_ASSERT(is_pow2(static_cast<std::uint64_t>(block_bytes)),
@@ -43,7 +46,7 @@ NodeId AddressSpace::home(Addr addr) const {
   if (is_private(addr)) {
     return static_cast<NodeId>((addr >> kPrivateNodeShift) & 0xFF);
   }
-  return static_cast<NodeId>(block_of(addr, block_bytes_) %
+  return static_cast<NodeId>((addr >> block_shift_) %
                              static_cast<Addr>(nodes_));
 }
 

@@ -35,6 +35,7 @@ class AddressSpace {
 
   int nodes_;
   int block_bytes_;
+  int block_shift_;  // log2(block_bytes_): home() shifts instead of divides
   std::size_t shared_top_ = 0;
   std::vector<std::size_t> private_top_;
 };

@@ -5,14 +5,6 @@
 
 namespace netcache::sim {
 
-const char* to_string(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kResume: return "resume";
-    case TraceKind::kCallback: return "callback";
-  }
-  return "?";
-}
-
 const char* to_string(TraceTagKind kind) {
   switch (kind) {
     case TraceTagKind::kNone: return "untagged";
@@ -49,8 +41,8 @@ std::string TraceRing::dump() const {
       }
     }
     std::snprintf(line, sizeof(line),
-                  "  t=%" PRId64 " %-8s seq=%" PRIu64 "%s queue_depth=%u\n",
-                  r.time, to_string(r.kind), r.tag, what, r.queue_depth);
+                  "  t=%" PRId64 " resume #%" PRIu64 "%s queue_depth=%u\n",
+                  r.time, r.ordinal, what, r.queue_depth);
     out += line;
   });
   return out;

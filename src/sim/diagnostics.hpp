@@ -5,7 +5,7 @@
 //    waiting on, under which tag (node/CPU), and since which cycle. When the
 //    event queue drains while waiters remain, Engine::run() turns the
 //    registry into a deadlock report instead of returning success.
-//  - TraceRing: opt-in fixed-size ring of (time, kind, tag, queue depth)
+//  - TraceRing: opt-in fixed-size ring of (time, ordinal, tag, queue depth)
 //    records filled on the event fast path; near-zero cost when disabled
 //    (one predictable branch per event). Dumped on failure.
 //  - RunLimits: watchdog budgets for Engine::run() so protocol livelocks
@@ -91,11 +91,6 @@ class BlockedRegistry {
   std::size_t live_count_ = 0;
 };
 
-/// What an executed event was: a coroutine resume or a scheduled callback.
-enum class TraceKind : std::uint8_t { kResume, kCallback };
-
-const char* to_string(TraceKind kind);
-
 /// Protocol-level meaning of a scheduled event, carried in the high bits of
 /// the optional 16-bit trace tag so a failure-report tail reads as "node 3
 /// read" instead of a bare sequence number.
@@ -130,10 +125,9 @@ constexpr NodeId trace_tag_node(std::uint16_t tag) {
 /// One executed event, as seen by the engine's run loop.
 struct TraceRecord {
   Cycles time = 0;
-  std::uint64_t tag = 0;  // the event's insertion sequence number
+  std::uint64_t ordinal = 0;  // events the engine executed before this one
   std::uint32_t queue_depth = 0;
   std::uint16_t user_tag = 0;  // make_trace_tag(node, kind), 0 if untagged
-  TraceKind kind = TraceKind::kResume;
 };
 
 /// Fixed-size ring of the most recent TraceRecords. Disabled (zero capacity)
@@ -150,9 +144,9 @@ class TraceRing {
     recorded_ = 0;
   }
 
-  void record(Cycles time, TraceKind kind, std::uint64_t tag,
-              std::uint32_t queue_depth, std::uint16_t user_tag = 0) {
-    ring_[head_] = TraceRecord{time, tag, queue_depth, user_tag, kind};
+  void record(Cycles time, std::uint64_t ordinal, std::uint32_t queue_depth,
+              std::uint16_t user_tag = 0) {
+    ring_[head_] = TraceRecord{time, ordinal, queue_depth, user_tag};
     head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
     ++recorded_;
   }

@@ -12,8 +12,6 @@ Engine::Engine() { FailureReporter::instance().add(this); }
 Engine::~Engine() { FailureReporter::instance().remove(this); }
 
 void Engine::spawn(Task<void> t, Cycles delay, std::uint16_t tag) {
-  // Direct-handle scheduling: the detached frame resumes straight from the
-  // event record, no closure.
   schedule_resume(delay, t.release_detached(), tag);
 }
 
@@ -21,23 +19,22 @@ Cycles Engine::run(const RunLimits& limits) {
   std::uint64_t stalled = 0;
   const std::uint64_t events_at_start = events_executed_;
   while (!queue_.empty()) {
-    Event ev = queue_.pop();
+    const ResumeSlot ev = queue_.pop();
+    const Cycles t = queue_.cursor();
     if (limits.max_stalled_events) {
-      stalled = ev.time == now_ ? stalled + 1 : 0;
+      stalled = t == now_ ? stalled + 1 : 0;
       if (stalled > limits.max_stalled_events) {
-        now_ = ev.time;
+        now_ = t;
         fail_run("virtual time stalled (livelock?)");
       }
     }
-    now_ = ev.time;
+    now_ = t;
     if (limits.max_cycles && now_ >= limits.max_cycles) {
       fail_run("virtual-time budget (max_cycles) exhausted");
     }
     if (trace_.enabled()) {
-      trace_.record(ev.time,
-                    ev.is_resume() ? TraceKind::kResume : TraceKind::kCallback,
-                    ev.seq, static_cast<std::uint32_t>(queue_.size()),
-                    ev.tag);
+      trace_.record(now_, events_executed_,
+                    static_cast<std::uint32_t>(queue_.size()), ev.tag);
     }
     ev.fire();
     ++events_executed_;

@@ -5,6 +5,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "src/common/failure.hpp"
 #include "src/common/nc_assert.hpp"
@@ -25,24 +26,23 @@ class Engine : public FailureContext {
   /// Current virtual time in pcycles.
   Cycles now() const { return now_; }
 
-  /// Schedules `action` (any callable) to run at now() + delay. The callable
-  /// is stored inline in the event record; prefer schedule_resume when the
-  /// action is just resuming a coroutine. `tag` (make_trace_tag) annotates
-  /// the event in the opt-in trace ring; 0 leaves it untagged.
+  /// Runs `action` (any callable) at now() + delay as a one-shot spawned
+  /// process. Every event resumes a coroutine; simulation code awaits
+  /// delay() or a Task instead of scheduling callables.
   template <typename F>
-  void schedule(Cycles delay, F&& action, std::uint16_t tag = 0) {
-    NC_ASSERT(delay >= 0, "cannot schedule into the past");
-    queue_.push(now_ + delay, std::forward<F>(action), tag);
+  void schedule(Cycles delay, F action) {
+    spawn([](F f) -> Task<void> { f(); co_return; }(std::move(action)), delay);
   }
 
-  /// Fast path: schedules `h.resume()` at now() + delay with no closure.
+  /// Schedules `h.resume()` at now() + delay. `tag` (make_trace_tag)
+  /// annotates the event in the opt-in trace ring; 0 leaves it untagged.
   void schedule_resume(Cycles delay, std::coroutine_handle<> h,
                        std::uint16_t tag = 0) {
     NC_ASSERT(delay >= 0, "cannot schedule into the past");
     queue_.push_resume(now_ + delay, h, tag);
   }
 
-  /// Bulk fast path: schedules `n` resumes at now() + delay in one bucket
+  /// Bulk form: schedules `n` resumes at now() + delay in one bucket
   /// insertion (see EventQueue::push_resume_batch). Fire order is the array
   /// order, identical to n schedule_resume calls. All n share `tag`.
   void schedule_resume_batch(Cycles delay, const std::coroutine_handle<>* hs,
@@ -93,8 +93,8 @@ class Engine : public FailureContext {
   BlockedRegistry& blocked() { return blocked_; }
   const BlockedRegistry& blocked() const { return blocked_; }
 
-  /// Opt-in event trace: records (time, kind, tag, queue depth) for the last
-  /// `capacity` executed events. Capacity 0 disables tracing again.
+  /// Opt-in event trace: records (time, ordinal, tag, queue depth) for the
+  /// last `capacity` executed events. Capacity 0 disables tracing again.
   void enable_trace(std::size_t capacity) { trace_.enable(capacity); }
   const TraceRing& trace() const { return trace_; }
 

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <bit>
 
-#include "src/common/nc_assert.hpp"
-
 namespace netcache::sim {
 
 namespace {
 
 /// Heap comparator: true when `a` fires after `b` (min-heap on (time, seq)).
 struct Later {
-  bool operator()(const Event& a, const Event& b) const {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const {
     if (a.time != b.time) return a.time > b.time;
     return a.seq > b.seq;
   }
@@ -19,136 +18,102 @@ struct Later {
 
 }  // namespace
 
-EventQueue::EventQueue()
-    : wheel_(kWheelSize), heads_(kWheelSize, 0), occupied_(kWheelSize / 64, 0) {}
-
-void EventQueue::insert(Event&& e) {
-  if (size_ == 0) {
-    // Empty queue: the cursor can snap anywhere, no events constrain it.
-    cursor_ = e.time;
-  } else if (e.time < cursor_) {
-    rebuild(e.time);
-  }
-  place(std::move(e));
-  ++size_;
-}
-
-void EventQueue::place(Event&& e, bool account) {
-  NC_ASSERT(e.time >= cursor_, "event below cursor");
-  if (e.time - cursor_ < static_cast<Cycles>(wheel_size_)) {
-    std::size_t idx = static_cast<std::size_t>(e.time) & wheel_mask_;
-    wheel_[idx].push_back(std::move(e));
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    if (account) ++stats_.wheel_pushes;
-  } else {
-    overflow_.push_back(std::move(e));
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    if (account) {
-      ++stats_.overflow_pushes;
-      stats_.max_overflow_size =
-          std::max<std::uint64_t>(stats_.max_overflow_size, overflow_.size());
-      maybe_regrow();
-    }
-  }
-}
+EventQueue::EventQueue() : wheel_(kWheelSize), occupied_(kWheelSize / 64, 0) {}
 
 void EventQueue::push_resume_batch(Cycles time,
                                    const std::coroutine_handle<>* hs,
                                    std::size_t n, std::uint16_t tag) {
   if (n == 0) return;
   if (size_ == 0) {
+    // Empty queue: the cursor can snap anywhere, no events constrain it.
     cursor_ = time;
   } else if (time < cursor_) {
-    rebuild(time);
+    rebucket(time, wheel_size_);
+    ++stats_.rebuilds;
   }
+  size_ += n;
   if (time - cursor_ < static_cast<Cycles>(wheel_size_)) {
     std::size_t idx = static_cast<std::size_t>(time) & wheel_mask_;
-    auto& bucket = wheel_[idx];
-    bucket.reserve(bucket.size() + n);
+    std::vector<ResumeSlot>& bucket = wheel_[idx];
     for (std::size_t i = 0; i < n; ++i) {
-      bucket.push_back(Event::make_resume(time, next_seq_++, hs[i], tag));
+      bucket.push_back({hs[i].address(), tag});
     }
     occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     stats_.wheel_pushes += n;
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    overflow_.push_back({time, next_seq_++, {hs[i].address(), tag}});
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+  }
+  stats_.overflow_pushes += n;
+  // One-shot auto-sizing: double the horizon once overflow traffic shows it
+  // is too short for this workload.
+  if (stats_.wheel_regrows == 0 &&
+      stats_.wheel_pushes + stats_.overflow_pushes >= kRegrowMinPushes &&
+      stats_.overflow_fraction() > kRegrowOverflowFraction) {
+    rebucket(cursor_, 2 * wheel_size_);
+    ++stats_.wheel_regrows;
+  }
+}
+
+void EventQueue::place(Cycles time, ResumeSlot slot) {
+  if (time - cursor_ < static_cast<Cycles>(wheel_size_)) {
+    std::size_t idx = static_cast<std::size_t>(time) & wheel_mask_;
+    wheel_[idx].push_back(slot);
+    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      overflow_.push_back(Event::make_resume(time, next_seq_++, hs[i], tag));
-      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-    }
-    stats_.overflow_pushes += n;
-    stats_.max_overflow_size =
-        std::max<std::uint64_t>(stats_.max_overflow_size, overflow_.size());
-    maybe_regrow();
+    overflow_.push_back({time, next_seq_++, slot});
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
-  size_ += n;
 }
 
-void EventQueue::rebuild(Cycles new_cursor) {
-  std::vector<Event> pending;
-  pending.reserve(size_ - overflow_.size());
-  for (std::size_t w = 0; w < occupied_.size(); ++w) {
-    std::uint64_t bits = occupied_[w];
-    while (bits) {
-      std::size_t idx = (w << 6) + static_cast<std::size_t>(
-                                       std::countr_zero(bits));
-      bits &= bits - 1;
-      auto& bucket = wheel_[idx];
-      for (std::size_t i = heads_[idx]; i < bucket.size(); ++i) {
-        pending.push_back(std::move(bucket[i]));
-      }
-      bucket.clear();
-      heads_[idx] = 0;
-    }
-    occupied_[w] = 0;
+void EventQueue::migrate() {
+  const Cycles horizon = cursor_ + static_cast<Cycles>(wheel_size_);
+  while (!overflow_.empty() && overflow_.front().time < horizon) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+    const FarEvent& e = overflow_.back();
+    std::size_t idx = static_cast<std::size_t>(e.time) & wheel_mask_;
+    wheel_[idx].push_back(e.slot);
+    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    overflow_.pop_back();
   }
+}
+
+std::size_t EventQueue::advance() {
+  // Every wheel event precedes every heap event, so the heap is consulted
+  // only when the wheel is empty.
+  const Cycles tw = wheel_next_time();
+  cursor_ = tw >= 0 ? tw : overflow_.front().time;
+  migrate();
+  return static_cast<std::size_t>(cursor_) & wheel_mask_;
+}
+
+void EventQueue::rebucket(Cycles new_cursor, std::size_t new_size) {
+  // Collect the wheel's pending events in fire order: bucket by bucket from
+  // the cursor, FIFO within each.
+  std::vector<FarEvent> pending;
+  pending.reserve(size_);
+  for (std::size_t k = 0; k < wheel_size_; ++k) {
+    const Cycles t = cursor_ + static_cast<Cycles>(k);
+    std::vector<ResumeSlot>& bucket =
+        wheel_[static_cast<std::size_t>(t) & wheel_mask_];
+    for (std::size_t i = k == 0 ? head_ : 0; i < bucket.size(); ++i) {
+      pending.push_back({t, 0, bucket[i]});
+    }
+    bucket.clear();
+  }
+  wheel_.resize(new_size);
+  occupied_.assign(new_size / 64, 0);
+  wheel_size_ = new_size;
+  wheel_mask_ = new_size - 1;
+  head_ = 0;
   cursor_ = new_cursor;
-  // Re-bucketing relocates events that were already accounted at insertion;
-  // only the rebuild itself is counted.
-  for (auto& e : pending) place(std::move(e), /*account=*/false);
-  ++stats_.rebuilds;
-}
-
-void EventQueue::maybe_regrow() {
-  if (regrown_) return;
-  if (stats_.wheel_pushes + stats_.overflow_pushes < kRegrowMinPushes) return;
-  if (stats_.overflow_fraction() <= kRegrowOverflowFraction) return;
-
-  // Gather every pending event — wheel buckets plus overflow heap — into one
-  // (time, seq)-sorted list, then re-place against the doubled horizon. The
-  // sort restores global insertion order so same-time events from the two
-  // structures interleave into bucket FIFOs exactly as a fresh queue would
-  // hold them: fire order is unchanged by the regrow.
-  std::vector<Event> pending;
-  pending.reserve(size_ + 1);
-  for (std::size_t w = 0; w < occupied_.size(); ++w) {
-    std::uint64_t bits = occupied_[w];
-    while (bits) {
-      std::size_t idx = (w << 6) + static_cast<std::size_t>(
-                                       std::countr_zero(bits));
-      bits &= bits - 1;
-      auto& bucket = wheel_[idx];
-      for (std::size_t i = heads_[idx]; i < bucket.size(); ++i) {
-        pending.push_back(std::move(bucket[i]));
-      }
-    }
-  }
-  for (auto& e : overflow_) pending.push_back(std::move(e));
-  overflow_.clear();
-  std::sort(pending.begin(), pending.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  });
-
-  wheel_size_ *= 2;
-  wheel_mask_ = wheel_size_ - 1;
-  wheel_.clear();
-  wheel_.resize(wheel_size_);
-  heads_.assign(wheel_size_, 0);
-  occupied_.assign(wheel_size_ / 64, 0);
-  regrown_ = true;
-
-  for (auto& e : pending) place(std::move(e), /*account=*/false);
-  ++stats_.wheel_regrows;
+  // Wheel events that fall past a lowered horizon take fresh seqs, in fire
+  // order; no heap event shares their time, so that order is kept. A wider
+  // horizon instead pulls heap events in.
+  for (const FarEvent& e : pending) place(e.time, e.slot);
+  migrate();
 }
 
 Cycles EventQueue::wheel_next_time() const {
@@ -174,48 +139,8 @@ Cycles EventQueue::wheel_next_time() const {
 
 Cycles EventQueue::next_time() const {
   NC_ASSERT(size_ > 0, "next_time on empty queue");
-  Cycles tw = wheel_next_time();
-  if (overflow_.empty()) return tw;
-  Cycles to = overflow_.front().time;
-  return (tw < 0 || to < tw) ? to : tw;
-}
-
-Event EventQueue::pop() {
-  NC_ASSERT(size_ > 0, "pop on empty queue");
-  Cycles tw = wheel_next_time();
-  bool from_wheel;
-  if (tw < 0) {
-    from_wheel = false;
-  } else if (overflow_.empty() || tw < overflow_.front().time) {
-    from_wheel = true;
-  } else if (overflow_.front().time < tw) {
-    from_wheel = false;
-  } else {
-    // Same instant in both structures: the smaller insertion seq fires first.
-    std::size_t idx = static_cast<std::size_t>(tw) & wheel_mask_;
-    from_wheel = wheel_[idx][heads_[idx]].seq < overflow_.front().seq;
-  }
-
-  Event e;
-  if (from_wheel) {
-    std::size_t idx = static_cast<std::size_t>(tw) & wheel_mask_;
-    auto& bucket = wheel_[idx];
-    e = std::move(bucket[heads_[idx]++]);
-    if (heads_[idx] == bucket.size()) {
-      bucket.clear();
-      heads_[idx] = 0;
-      occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-    }
-  } else {
-    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    e = std::move(overflow_.back());
-    overflow_.pop_back();
-  }
-  // The popped event is the global minimum, so every remaining event is at or
-  // after it: the cursor may advance, widening the wheel horizon.
-  cursor_ = e.time;
-  --size_;
-  return e;
+  const Cycles tw = wheel_next_time();
+  return tw >= 0 ? tw : overflow_.front().time;
 }
 
 }  // namespace netcache::sim

@@ -5,20 +5,36 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/sim/task.hpp"
 
 namespace netcache::sim {
 namespace {
 
+static_assert(std::is_trivially_copyable_v<ResumeSlot>);
+static_assert(sizeof(ResumeSlot) <= 16);
+
 constexpr Cycles kWheel = static_cast<Cycles>(EventQueue::kWheelSize);
+
+/// Schedules `fn` at `time` as the resume of a detached one-shot coroutine.
+template <typename F>
+void push(EventQueue& q, Cycles time, F fn) {
+  auto once = [](F f) -> Task<void> {
+    f();
+    co_return;
+  };
+  q.push_resume(time, once(std::move(fn)).release_detached());
+}
 
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
-  q.push(30, [&] { order.push_back(3); });
-  q.push(10, [&] { order.push_back(1); });
-  q.push(20, [&] { order.push_back(2); });
+  push(q, 30, [&] { order.push_back(3); });
+  push(q, 10, [&] { order.push_back(1); });
+  push(q, 20, [&] { order.push_back(2); });
   while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -27,7 +43,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.push(5, [&order, i] { order.push_back(i); });
+    push(q, 5, [&order, i] { order.push_back(i); });
   }
   while (!q.empty()) q.pop().fire();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -35,48 +51,45 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
 
 TEST(EventQueue, NextTimeReportsEarliest) {
   EventQueue q;
-  q.push(42, [] {});
-  q.push(7, [] {});
+  push(q, 42, [] {});
+  push(q, 7, [] {});
   EXPECT_EQ(q.next_time(), 7);
-  q.pop();
+  q.pop().fire();
   EXPECT_EQ(q.next_time(), 42);
+  q.pop().fire();  // a pending resume would leak its coroutine frame
 }
 
 TEST(EventQueue, SizeTracksContents) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
-  q.push(1, [] {});
-  q.push(2, [] {});
+  push(q, 1, [] {});
+  push(q, 2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.pop();
+  q.pop().fire();
   EXPECT_EQ(q.size(), 1u);
+  q.pop().fire();  // a pending resume would leak its coroutine frame
 }
 
 TEST(EventQueue, InterleavedPushPop) {
   EventQueue q;
   std::vector<int> order;
-  q.push(10, [&] { order.push_back(1); });
+  push(q, 10, [&] { order.push_back(1); });
   q.pop().fire();
-  q.push(5, [&] { order.push_back(2); });
-  q.push(1, [&] { order.push_back(3); });
+  push(q, 5, [&] { order.push_back(2); });
+  push(q, 1, [&] { order.push_back(3); });
   q.pop().fire();
   q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
-TEST(EventQueue, ResumeAndCallbackEventsShareTimeline) {
-  // push_resume events and callback events at the same instant interleave by
-  // insertion order. (Uses an actual coroutine handle via a no-op frame.)
+TEST(EventQueue, SameInstantResumesShareTimeline) {
+  // Resumes at one instant interleave with earlier ones by insertion order.
   EventQueue q;
   std::vector<int> order;
-  q.push(3, [&] { order.push_back(0); });
-  q.push(3, [&] { order.push_back(1); });
-  q.push(1, [&] { order.push_back(2); });
-  while (!q.empty()) {
-    Event e = q.pop();
-    EXPECT_FALSE(e.is_resume());
-    e.fire();
-  }
+  push(q, 3, [&] { order.push_back(0); });
+  push(q, 3, [&] { order.push_back(1); });
+  push(q, 1, [&] { order.push_back(2); });
+  while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
 }
 
@@ -89,14 +102,14 @@ TEST(EventQueue, SameCycleFifoAcrossWheelAndOverflow) {
   EventQueue q;
   std::vector<int> order;
   const Cycles kT = kWheel + 500;  // beyond the horizon of the first anchor
-  q.push(1, [&] { order.push_back(-2); });       // anchor: cursor near 1
-  q.push(kT, [&] { order.push_back(0); });       // -> overflow
-  q.push(kT, [&] { order.push_back(1); });       // -> overflow
-  q.push(kWheel, [&] { order.push_back(-1); });  // advances cursor when popped
+  push(q, 1, [&] { order.push_back(-2); });       // anchor: cursor near 1
+  push(q, kT, [&] { order.push_back(0); });       // -> overflow
+  push(q, kT, [&] { order.push_back(1); });       // -> overflow
+  push(q, kWheel, [&] { order.push_back(-1); });  // advances cursor when popped
   q.pop().fire();  // @1
   q.pop().fire();  // @kWheel; horizon now covers kT
-  q.push(kT, [&] { order.push_back(2); });  // -> wheel bucket
-  q.push(kT, [&] { order.push_back(3); });  // -> wheel bucket
+  push(q, kT, [&] { order.push_back(2); });  // -> wheel bucket
+  push(q, kT, [&] { order.push_back(3); });  // -> wheel bucket
   while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{-2, -1, 0, 1, 2, 3}));
 }
@@ -108,9 +121,9 @@ TEST(EventQueue, FarFutureOverflowFiresInOrder) {
   std::vector<Cycles> fired;
   for (Cycles k = 8; k >= 1; --k) {
     Cycles t = k * kWheel + 17;
-    q.push(t, [&fired, t] { fired.push_back(t); });
+    push(q, t, [&fired, t] { fired.push_back(t); });
   }
-  q.push(3, [&fired] { fired.push_back(3); });
+  push(q, 3, [&fired] { fired.push_back(3); });
   std::vector<Cycles> times;
   while (!q.empty()) {
     times.push_back(q.next_time());
@@ -130,7 +143,7 @@ TEST(EventQueue, WheelWrapKeepsBucketTimesApart) {
   EventQueue q;
   std::vector<Cycles> fired;
   auto record = [&](Cycles t) {
-    q.push(t, [&fired, t] { fired.push_back(t); });
+    push(q, t, [&fired, t] { fired.push_back(t); });
   };
   record(10);              // bucket 10
   record(10 + kWheel);     // same bucket index, one lap later -> overflow
@@ -149,11 +162,11 @@ TEST(EventQueue, SameCycleFifoSurvivesPushDuringDrain) {
   // handoffs) run after the already-queued same-instant events.
   EventQueue q;
   std::vector<int> order;
-  q.push(7, [&] {
+  push(q, 7, [&] {
     order.push_back(0);
-    q.push(7, [&] { order.push_back(2); });
+    push(q, 7, [&] { order.push_back(2); });
   });
-  q.push(7, [&] { order.push_back(1); });
+  push(q, 7, [&] { order.push_back(1); });
   while (!q.empty()) {
     EXPECT_EQ(q.next_time(), 7);
     q.pop().fire();
@@ -161,53 +174,144 @@ TEST(EventQueue, SameCycleFifoSurvivesPushDuringDrain) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+/// (time, id) pairs, in push or in fire order.
+using Fired = std::vector<std::pair<Cycles, int>>;
+
+/// The reference fire order: the pushes stably sorted by time.
+Fired by_time(Fired pushed) {
+  std::stable_sort(
+      pushed.begin(), pushed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  return pushed;
+}
+
+std::uint64_t xorshift(std::uint64_t& rng) {
+  rng ^= rng << 13;
+  rng ^= rng >> 7;
+  rng ^= rng << 17;
+  return rng;
+}
+
+/// 5000 times mixing near-future, bucket-colliding, and far-future delays.
+std::vector<Cycles> random_times() {
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  std::vector<Cycles> times;
+  for (int i = 0; i < 5000; ++i) {
+    times.push_back(static_cast<Cycles>(
+        xorshift(rng) % (3 * static_cast<std::uint64_t>(kWheel))));
+  }
+  return times;
+}
+
+/// 1.5 x kRegrowMinPushes times, ~1/3 of them past the initial horizon: far
+/// over the 10% regrow threshold once enough pushes have accumulated.
+std::vector<Cycles> regrow_times() {
+  std::uint64_t rng = 0x853c49e6748fea9bull;
+  const int n = 3 * static_cast<int>(EventQueue::kRegrowMinPushes) / 2;
+  std::vector<Cycles> times;
+  for (int i = 0; i < n; ++i) {
+    const Cycles t = static_cast<Cycles>(
+        xorshift(rng) % static_cast<std::uint64_t>(kWheel));
+    times.push_back(i % 3 == 0 ? kWheel + t : t);
+  }
+  return times;
+}
+
 TEST(EventQueue, ManyEventsRandomTimesMatchReferenceOrder) {
   // Cross-check the wheel against a simple reference: stable sort by time.
   EventQueue q;
-  std::vector<std::pair<Cycles, int>> ref;
-  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-  std::vector<std::pair<Cycles, int>> fired;
-  for (int i = 0; i < 5000; ++i) {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    // Mix near-future, bucket-colliding, and far-future times.
-    Cycles t = static_cast<Cycles>(rng % (3 * static_cast<std::uint64_t>(kWheel)));
+  Fired ref;
+  Fired fired;
+  const std::vector<Cycles> times = random_times();
+  for (int i = 0; i < static_cast<int>(times.size()); ++i) {
+    const Cycles t = times[static_cast<std::size_t>(i)];
     ref.emplace_back(t, i);
-    q.push(t, [&fired, t, i] { fired.emplace_back(t, i); });
+    push(q, t, [&fired, t, i] { fired.emplace_back(t, i); });
   }
-  std::stable_sort(ref.begin(), ref.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
   while (!q.empty()) q.pop().fire();
-  EXPECT_EQ(fired, ref);
+  EXPECT_EQ(fired, by_time(ref));
 }
 
 TEST(EventQueue, RegrowsOnceUnderFarFutureHeavyLoad) {
   // A workload whose delays routinely exceed the wheel horizon must trigger
   // the one-shot 2x regrow — and the regrow must not change fire order.
   EventQueue q;
-  std::vector<std::pair<Cycles, int>> ref;
-  std::vector<std::pair<Cycles, int>> fired;
-  std::uint64_t rng = 0x853c49e6748fea9bull;
-  const int n = 3 * static_cast<int>(EventQueue::kRegrowMinPushes) / 2;
-  for (int i = 0; i < n; ++i) {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    // ~1/3 of events land past the horizon: far over the 10% regrow
-    // threshold once enough pushes have accumulated.
-    Cycles t = (i % 3 == 0)
-                   ? kWheel + static_cast<Cycles>(rng % static_cast<std::uint64_t>(kWheel))
-                   : static_cast<Cycles>(rng % static_cast<std::uint64_t>(kWheel));
+  Fired ref;
+  Fired fired;
+  const std::vector<Cycles> times = regrow_times();
+  for (int i = 0; i < static_cast<int>(times.size()); ++i) {
+    const Cycles t = times[static_cast<std::size_t>(i)];
     ref.emplace_back(t, i);
-    q.push(t, [&fired, t, i] { fired.emplace_back(t, i); });
+    push(q, t, [&fired, t, i] { fired.emplace_back(t, i); });
   }
   EXPECT_EQ(q.stats().wheel_regrows, 1u);
   EXPECT_EQ(q.wheel_size(), 2 * EventQueue::kWheelSize);
-  std::stable_sort(ref.begin(), ref.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
   while (!q.empty()) q.pop().fire();
-  EXPECT_EQ(fired, ref);
+  EXPECT_EQ(fired, by_time(ref));
+}
+
+TEST(EventQueue, PushCountersMatchPinnedValues) {
+  // wheel_pushes, overflow_pushes and wheel_regrows are serialized in every
+  // RunSummary; their classification (by the cursor at push time) and the
+  // regrow trigger are pinned to the values the queue has always reported.
+  struct Pin {
+    std::vector<Cycles> times;
+    std::uint64_t wheel, overflow, regrows;
+  };
+  const Pin pins[] = {
+      {random_times(), 1682, 3318, 0},
+      {regrow_times(), 9557, 2731, 1},
+  };
+  for (const Pin& pin : pins) {
+    EventQueue q;
+    for (Cycles t : pin.times) push(q, t, [] {});
+    EXPECT_EQ(q.stats().wheel_pushes, pin.wheel);
+    EXPECT_EQ(q.stats().overflow_pushes, pin.overflow);
+    EXPECT_EQ(q.stats().wheel_regrows, pin.regrows);
+    while (!q.empty()) q.pop().fire();
+  }
+}
+
+TEST(EventQueue, MigratedFarEventsPrecedeLaterDirectPushes) {
+  // Far events at one time T sit in the overflow heap until the cursor's
+  // horizon covers T; they then migrate into T's bucket ahead of the direct
+  // pushes that can only now reach it. Direct pushes at T-1, T and T+1 made
+  // after the migration must interleave exactly as a stable sort by time.
+  EventQueue q;
+  Fired ref;
+  Fired fired;
+  int next_id = 0;
+  auto record = [&](Cycles t) {
+    const int id = next_id++;
+    ref.emplace_back(t, id);
+    push(q, t, [&fired, t, id] { fired.emplace_back(t, id); });
+  };
+  const Cycles kT = kWheel + 100;
+  record(0);  // anchors the cursor at 0: kT - 1 .. kT + 1 are far
+  record(kT);
+  record(kT + 1);
+  record(kT);
+  record(kT - 1);
+  record(kT);
+  // When the event at kA fires, the horizon covers kT + 1: its pushes land
+  // in the wheel, behind the far events migrated on the way to kA.
+  const Cycles kA = 200;
+  const int anchor = next_id++;
+  ref.emplace_back(kA, anchor);
+  push(q, kA, [&, anchor] {
+    fired.emplace_back(kA, anchor);
+    record(kT);
+    record(kT - 1);
+    record(kT + 1);
+    record(kT);
+    record(kA);  // delay 0 while kA's bucket drains
+  });
+  record(kA);
+  EXPECT_EQ(q.stats().overflow_pushes, 5u);
+  while (!q.empty()) q.pop().fire();
+  EXPECT_EQ(q.stats().wheel_pushes, 8u);
+  EXPECT_EQ(q.stats().overflow_pushes, 5u);
+  EXPECT_EQ(fired, by_time(ref));
 }
 
 TEST(EventQueue, NoRegrowForNearFutureWorkloads) {
@@ -215,32 +319,11 @@ TEST(EventQueue, NoRegrowForNearFutureWorkloads) {
   // initial size (the regrow guard never trips on healthy workloads).
   EventQueue q;
   for (std::uint64_t i = 0; i < 2 * EventQueue::kRegrowMinPushes; ++i) {
-    q.push(static_cast<Cycles>(i % 100), [] {});
+    push(q, static_cast<Cycles>(i % 100), [] {});
   }
   EXPECT_EQ(q.stats().wheel_regrows, 0u);
   EXPECT_EQ(q.wheel_size(), EventQueue::kWheelSize);
   while (!q.empty()) q.pop().fire();
-}
-
-TEST(EventQueue, InlineCallbackDestroyedWithoutFiring) {
-  // Dropping a queue with pending callback events must destroy the inline
-  // callables exactly once (checked via a ref-counting capture).
-  int alive = 0;
-  struct Token {
-    int* alive;
-    explicit Token(int* a) : alive(a) { ++*alive; }
-    Token(const Token& o) : alive(o.alive) { ++*alive; }
-    Token(Token&& o) noexcept : alive(o.alive) { ++*alive; }
-    ~Token() { --*alive; }
-  };
-  {
-    EventQueue q;
-    Token tok(&alive);
-    q.push(1, [tok] { (void)tok; });
-    q.push(kWheel * 2, [tok] { (void)tok; });  // overflow copy
-    EXPECT_GE(alive, 3);
-  }
-  EXPECT_EQ(alive, 0);
 }
 
 }  // namespace

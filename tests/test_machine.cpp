@@ -193,14 +193,16 @@ std::uint64_t fnv1a(const std::string& bytes,
 }
 
 core::RunSummary run_pinned(const std::string& app, SystemKind system,
-                            const std::string& faults = "") {
+                            const std::string& faults = "", int nodes = 8,
+                            double scale = 0.05) {
   MachineConfig cfg;
-  cfg.nodes = 8;
+  cfg.nodes = nodes;
   cfg.system = system;
   cfg.faults.spec = faults;
+  if (nodes > cfg.ring.channels) cfg.ring.channels = nodes;
   Machine m(cfg);
   apps::WorkloadParams params;
-  params.scale = 0.05;
+  params.scale = scale;
   auto workload = apps::make_workload(app, params);
   return m.run(*workload);
 }
@@ -252,6 +254,33 @@ TEST(Machine, ResultsMatchPinnedDigests) {
     EXPECT_GT(s.faults.injected, 0u) << pin.spec;
     const std::uint64_t h = fnv1a(canonical(s));
     EXPECT_EQ(h, pin.digest) << to_string(pin.system) << " " << pin.spec
+                             << " digest 0x" << std::hex << h;
+  }
+}
+
+// The 8-node pins never put hundreds of same-instant resumes in one
+// timing-wheel bucket; a 256-node barrier release does. Pins gauss and em3d
+// on the four paper systems at 256 nodes (NetCache with 256 ring channels).
+TEST(Machine, WideResultsMatchPinnedDigests) {
+  struct Pin {
+    const char* app;
+    SystemKind system;
+    std::uint64_t digest;
+  };
+  const Pin wide[] = {
+      {"gauss", SystemKind::kNetCache, 0xe11b5ea9d7e727a4ull},
+      {"gauss", SystemKind::kLambdaNet, 0xfe7d4c2013404690ull},
+      {"gauss", SystemKind::kDmonUpdate, 0x4581cef1385bd48cull},
+      {"gauss", SystemKind::kDmonInvalidate, 0xc03d591dcf45950bull},
+      {"em3d", SystemKind::kNetCache, 0xc507dfe7052eaf9bull},
+      {"em3d", SystemKind::kLambdaNet, 0x3b61b01935e44e7cull},
+      {"em3d", SystemKind::kDmonUpdate, 0x89dbe1e2d5af2a54ull},
+      {"em3d", SystemKind::kDmonInvalidate, 0x37e105a84c7ceb0aull},
+  };
+  for (const Pin& pin : wide) {
+    const std::uint64_t h =
+        fnv1a(canonical(run_pinned(pin.app, pin.system, "", 256, 0.02)));
+    EXPECT_EQ(h, pin.digest) << pin.app << "/" << to_string(pin.system)
                              << " digest 0x" << std::hex << h;
   }
 }
